@@ -9,6 +9,7 @@
 //	mdnbench -run fig4a   # run one experiment
 //	mdnbench -list        # list experiment IDs
 //	mdnbench -quiet       # rows only, no charts
+//	mdnbench -run fig2b -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 
 	"mdn/internal/audio"
 	"mdn/internal/experiments"
+	"mdn/internal/profile"
 	"mdn/internal/viz"
 )
 
@@ -38,35 +40,64 @@ func writeWAV(path string, b *audio.Buffer) error {
 	return audio.EncodeWAV(f, b)
 }
 
+// options holds the parsed command line.
+type options struct {
+	run        string
+	list       bool
+	quiet      bool
+	jsonOut    bool
+	spectro    bool
+	markdown   bool
+	wavDir     string
+	cpuProfile string
+	memProfile string
+}
+
 func main() {
-	var (
-		run      = flag.String("run", "", "run only the experiment with this ID")
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		quiet    = flag.Bool("quiet", false, "print summary rows only, no charts")
-		jsonOut  = flag.Bool("json", false, "emit results as a JSON array on stdout")
-		spectro  = flag.Bool("spectro", false, "render ASCII mel spectrograms of experiment audio")
-		markdown = flag.Bool("markdown", false, "emit results as markdown tables on stdout")
-		wavDir   = flag.String("wav", "", "write each experiment's controller-mic audio as WAV into this directory")
-	)
+	var o options
+	flag.StringVar(&o.run, "run", "", "run only the experiment with this ID")
+	flag.BoolVar(&o.list, "list", false, "list experiment IDs and exit")
+	flag.BoolVar(&o.quiet, "quiet", false, "print summary rows only, no charts")
+	flag.BoolVar(&o.jsonOut, "json", false, "emit results as a JSON array on stdout")
+	flag.BoolVar(&o.spectro, "spectro", false, "render ASCII mel spectrograms of experiment audio")
+	flag.BoolVar(&o.markdown, "markdown", false, "emit results as markdown tables on stdout")
+	flag.StringVar(&o.wavDir, "wav", "", "write each experiment's controller-mic audio as WAV into this directory")
+	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile at the end of the run to this file")
 	flag.Parse()
 
+	stop, err := profile.Start(o.cpuProfile, o.memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mdnbench:", err)
+		os.Exit(1)
+	}
+	code := run(o)
+	if err := stop(); err != nil {
+		fmt.Fprintln(os.Stderr, "mdnbench:", err)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// run executes the selected experiments and returns the exit status.
+func run(o options) int {
 	all := experiments.All()
-	if *list {
+	if o.list {
 		for _, e := range all {
 			fmt.Printf("%-14s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
-	if *run != "" {
-		e, ok := experiments.ByID(*run)
+	if o.run != "" {
+		e, ok := experiments.ByID(o.run)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "mdnbench: unknown experiment %q (try -list)\n", *run)
-			os.Exit(2)
+			fmt.Fprintf(os.Stderr, "mdnbench: unknown experiment %q (try -list)\n", o.run)
+			return 2
 		}
 		all = []experiments.Experiment{e}
 	}
 
-	if *markdown {
+	if o.markdown {
 		var results []*experiments.Result
 		failures := 0
 		for _, e := range all {
@@ -78,12 +109,12 @@ func main() {
 		}
 		fmt.Print(experiments.MarkdownTable(results))
 		if failures > 0 {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
-	if *jsonOut {
+	if o.jsonOut {
 		type jsonResult struct {
 			*experiments.Result
 			Pass    bool    `json:"pass"`
@@ -105,12 +136,12 @@ func main() {
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
 			fmt.Fprintln(os.Stderr, "mdnbench:", err)
-			os.Exit(1)
+			return 1
 		}
 		if failures > 0 {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	failures := 0
@@ -119,7 +150,7 @@ func main() {
 		r := e.Run()
 		elapsed := time.Since(start)
 		out := experiments.Render(r)
-		if *quiet {
+		if o.quiet {
 			lines := strings.Split(out, "\n")
 			var kept []string
 			for _, l := range lines {
@@ -131,15 +162,15 @@ func main() {
 			out = strings.Join(kept, "\n")
 		}
 		fmt.Print(out)
-		if *spectro && r.Audio != nil {
+		if o.spectro && r.Audio != nil {
 			mel := r.MelSpectrogram(64, 8000)
 			if mel != nil {
 				fmt.Print(viz.SpectrogramView("  mel spectrogram: "+r.AudioLabel,
 					mel, 0, r.Audio.Duration(), 50, 8000, 24, 64))
 			}
 		}
-		if *wavDir != "" && r.Audio != nil {
-			path := filepath.Join(*wavDir, r.ID+".wav")
+		if o.wavDir != "" && r.Audio != nil {
+			path := filepath.Join(o.wavDir, r.ID+".wav")
 			if err := writeWAV(path, r.Audio); err != nil {
 				fmt.Fprintln(os.Stderr, "mdnbench:", err)
 				failures++
@@ -154,6 +185,7 @@ func main() {
 	}
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "mdnbench: %d experiment(s) failed shape checks\n", failures)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

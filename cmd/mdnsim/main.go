@@ -11,7 +11,8 @@
 // With -traffic it runs the exact-vs-sketch analytics sweep over
 // flow-count scales on the pooled traffic engine. With
 // -metrics the run's telemetry registry is dumped to stdout after the
-// report, in Prometheus text exposition format.
+// report, in Prometheus text exposition format. -cpuprofile and
+// -memprofile write runtime/pprof profiles of the run.
 //
 // Usage:
 //
@@ -27,10 +28,12 @@
 //	mdnsim -modem -modem-rates 0,0.05 -modem-fecs none,rs_p48 -json
 //	mdnsim -traffic -seed 7
 //	mdnsim -traffic -traffic-flows 10000,100000 -workers 4 -json
+//	mdnsim -f scenarios/telemetry.json -stream -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,35 +41,85 @@ import (
 	"strconv"
 	"strings"
 
+	"mdn/internal/profile"
 	"mdn/internal/scenario"
 	"mdn/internal/telemetry"
 )
 
-func main() {
-	var (
-		file     = flag.String("f", "", "scenario JSON file (default: stdin)")
-		jsonOut  = flag.Bool("json", false, "emit the report as JSON")
-		chaos    = flag.Bool("chaos", false, "run the chaos sweep instead of a scenario file")
-		drops    = flag.String("chaos-drops", "", "comma-separated drop probabilities to sweep (default 0,0.1,0.3,0.5)")
-		duration = flag.Float64("chaos-duration", 0, "simulated seconds per chaos point (default 30)")
-		seed     = flag.Int64("seed", 1, "chaos sweep seed")
-		workers  = flag.Int("workers", 0, "chaos sweep worker pool size (0 = GOMAXPROCS, 1 = serial); the report is identical at any setting")
-		metrics  = flag.Bool("metrics", false, "dump the run's telemetry in Prometheus text format after the report")
-		stream   = flag.Bool("stream", false, "run the streaming low-latency detection path (scenario, chaos and modem runs)")
-		hop      = flag.Float64("hop", 0, "streaming hop in seconds (default 0.01; must subdivide the 50 ms window into whole samples)")
-		mdm      = flag.Bool("modem", false, "run the modem FEC × symbol-corruption sweep instead of a scenario file")
-		mdmRates = flag.String("modem-rates", "", "comma-separated symbol corruption rates to sweep (default 0,0.02,0.05,0.1)")
-		mdmFECs  = flag.String("modem-fecs", "", "comma-separated FEC schemes to sweep (default none,hamming7_4,rs_p48)")
-		traffic  = flag.Bool("traffic", false, "run the exact-vs-sketch traffic analytics sweep instead of a scenario file")
-		trFlows  = flag.String("traffic-flows", "", "comma-separated flow counts to sweep (default 10000,100000,1000000)")
-	)
-	flag.Parse()
+// options holds the parsed command line.
+type options struct {
+	file       string
+	jsonOut    bool
+	chaos      bool
+	drops      string
+	duration   float64
+	seed       int64
+	workers    int
+	metrics    bool
+	stream     bool
+	hop        float64
+	modem      bool
+	modemRates string
+	modemFECs  string
+	traffic    bool
+	flows      string
+	cpuProfile string
+	memProfile string
+}
 
-	if *hop != 0 && !*stream {
+// parseFlags parses the command line (without the program name).
+func parseFlags(args []string) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("mdnsim", flag.ContinueOnError)
+	fs.StringVar(&o.file, "f", "", "scenario JSON file (default: stdin)")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit the report as JSON")
+	fs.BoolVar(&o.chaos, "chaos", false, "run the chaos sweep instead of a scenario file")
+	fs.StringVar(&o.drops, "chaos-drops", "", "comma-separated drop probabilities to sweep (default 0,0.1,0.3,0.5)")
+	fs.Float64Var(&o.duration, "chaos-duration", 0, "simulated seconds per chaos point (default 30)")
+	fs.Int64Var(&o.seed, "seed", 1, "chaos sweep seed")
+	fs.IntVar(&o.workers, "workers", 0, "chaos sweep worker pool size (0 = GOMAXPROCS, 1 = serial); the report is identical at any setting")
+	fs.BoolVar(&o.metrics, "metrics", false, "dump the run's telemetry in Prometheus text format after the report")
+	fs.BoolVar(&o.stream, "stream", false, "run the streaming low-latency detection path (scenario, chaos and modem runs)")
+	fs.Float64Var(&o.hop, "hop", 0, "streaming hop in seconds (default 0.01; must subdivide the 50 ms window into whole samples)")
+	fs.BoolVar(&o.modem, "modem", false, "run the modem FEC × symbol-corruption sweep instead of a scenario file")
+	fs.StringVar(&o.modemRates, "modem-rates", "", "comma-separated symbol corruption rates to sweep (default 0,0.02,0.05,0.1)")
+	fs.StringVar(&o.modemFECs, "modem-fecs", "", "comma-separated FEC schemes to sweep (default none,hamming7_4,rs_p48)")
+	fs.BoolVar(&o.traffic, "traffic", false, "run the exact-vs-sketch traffic analytics sweep instead of a scenario file")
+	fs.StringVar(&o.flows, "traffic-flows", "", "comma-separated flow counts to sweep (default 10000,100000,1000000)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile at the end of the run to this file")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2) // the flag set has printed the error and usage
+	}
+	stop, err := profile.Start(o.cpuProfile, o.memProfile)
+	if err != nil {
+		fatal(err)
+	}
+	run(o)
+	if err := stop(); err != nil {
+		fatal(err)
+	}
+}
+
+// run executes the mode the options select. Errors exit through fatal,
+// so profiles are written only for runs that complete.
+func run(o *options) {
+	if o.hop != 0 && !o.stream {
 		fatal(fmt.Errorf("-hop requires -stream"))
 	}
 	modes := 0
-	for _, m := range []bool{*chaos, *mdm, *traffic} {
+	for _, m := range []bool{o.chaos, o.modem, o.traffic} {
 		if m {
 			modes++
 		}
@@ -74,36 +127,36 @@ func main() {
 	if modes > 1 {
 		fatal(fmt.Errorf("-chaos, -modem and -traffic are mutually exclusive"))
 	}
-	if *traffic {
-		runTrafficSweep(*seed, *trFlows, *workers, *jsonOut, *metrics)
+	if o.traffic {
+		runTrafficSweep(o.seed, o.flows, o.workers, o.jsonOut, o.metrics)
 		return
 	}
-	if *mdm {
+	if o.modem {
 		streamHop := 0.0
-		if *stream {
-			streamHop = *hop
+		if o.stream {
+			streamHop = o.hop
 			if streamHop == 0 {
 				streamHop = scenario.DefaultHopS
 			}
 		}
-		runModemSweep(*seed, *mdmRates, *mdmFECs, streamHop, *workers, *jsonOut)
+		runModemSweep(o.seed, o.modemRates, o.modemFECs, streamHop, o.workers, o.jsonOut)
 		return
 	}
-	if *chaos {
+	if o.chaos {
 		streamHop := 0.0
-		if *stream {
-			streamHop = *hop
+		if o.stream {
+			streamHop = o.hop
 			if streamHop == 0 {
 				streamHop = scenario.DefaultHopS
 			}
 		}
-		runChaos(*seed, *drops, *duration, streamHop, *workers, *jsonOut, *metrics)
+		runChaos(o.seed, o.drops, o.duration, streamHop, o.workers, o.jsonOut, o.metrics)
 		return
 	}
 
 	var in io.Reader = os.Stdin
-	if *file != "" {
-		f, err := os.Open(*file)
+	if o.file != "" {
+		f, err := os.Open(o.file)
 		if err != nil {
 			fatal(err)
 		}
@@ -114,10 +167,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *stream {
+	if o.stream {
 		cfg.Stream = true
-		if *hop != 0 {
-			cfg.HopS = *hop
+		if o.hop != 0 {
+			cfg.HopS = o.hop
 		}
 		if err := cfg.Validate(); err != nil {
 			fatal(err)
@@ -127,17 +180,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *jsonOut {
+	if o.jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
 			fatal(err)
 		}
-		printMetrics(rep.Metrics, *metrics)
+		printMetrics(rep.Metrics, o.metrics)
 		return
 	}
 	printReport(rep)
-	printMetrics(rep.Metrics, *metrics)
+	printMetrics(rep.Metrics, o.metrics)
 }
 
 func runChaos(seed int64, drops string, duration, streamHop float64, workers int, jsonOut, metrics bool) {

@@ -58,3 +58,27 @@ func sampleValue(t *testing.T, text, namePattern string) float64 {
 	}
 	return v
 }
+
+func TestParseFlagsProfiles(t *testing.T) {
+	o, err := parseFlags([]string{"-chaos", "-seed", "7", "-cpuprofile", "cpu.pprof", "-memprofile", "mem.pprof"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.cpuProfile != "cpu.pprof" || o.memProfile != "mem.pprof" {
+		t.Errorf("profiles = %q, %q; want cpu.pprof, mem.pprof", o.cpuProfile, o.memProfile)
+	}
+	if !o.chaos || o.seed != 7 {
+		t.Errorf("chaos=%v seed=%d alongside the profile flags, want true, 7", o.chaos, o.seed)
+	}
+	o, err = parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.cpuProfile != "" || o.memProfile != "" || o.seed != 1 {
+		t.Errorf("defaults: cpuprofile=%q memprofile=%q seed=%d, want no profiles and seed 1",
+			o.cpuProfile, o.memProfile, o.seed)
+	}
+	if _, err := parseFlags([]string{"-cpuprofile"}); err == nil {
+		t.Error("-cpuprofile without a file parsed")
+	}
+}

@@ -110,12 +110,6 @@ func (c *CaptureRing) Full() bool { return c.filled == len(c.samples) }
 // of the last successful Append).
 func (c *CaptureRing) End() float64 { return c.end }
 
-// WindowStart returns the time of the oldest sample in a full ring:
-// End minus the window duration.
-func (c *CaptureRing) WindowStart() float64 {
-	return c.end - float64(len(c.samples))/c.mic.room.SampleRate
-}
-
 // Window returns the current window, oldest sample first, as a buffer
 // backed by scratch owned by the ring — valid until the next Append.
 // It is only meaningful once Full.

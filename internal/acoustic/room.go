@@ -132,7 +132,9 @@ type Microphone struct {
 	// allocates nothing. It makes a Microphone single-capturer: at most
 	// one goroutine may run Capture/CaptureInto on a given microphone
 	// at a time. Different microphones of the same room may capture
-	// concurrently — that is the fleet fan-out path.
+	// concurrently — that is the fleet fan-out path. noiseRng draws
+	// from noiseSrc, which each capture reseeds.
+	noiseSrc splitmix64
 	noiseRng *rand.Rand
 }
 
@@ -263,6 +265,7 @@ func (r *Room) AddMicrophone(name string, pos Position, selfNoiseRMS float64) *M
 		Name: name, Pos: pos, SelfNoiseRMS: selfNoiseRMS,
 		room: r, idx: len(r.micList), nameSeed: hashName(name),
 	}
+	m.noiseRng = rand.New(&m.noiseSrc)
 	for _, s := range r.speakers {
 		g := makePair(s.Pos, pos)
 		if g.del > r.maxPairDelay {
@@ -424,17 +427,12 @@ func (m *Microphone) CaptureInto(out *audio.Buffer, from, to float64) *audio.Buf
 
 	if selfNoise > 0 {
 		// Seed per (mic, window) so repeated captures of the same
-		// window return identical waveforms. The generator is reused
-		// and reseeded, which reproduces the fresh-generator stream
-		// without allocating. The microphone component is an FNV-1a
-		// hash of the name, so same-length names (mic-0, mic-1, ...)
-		// still get distinct noise streams.
-		seed := r.Seed ^ int64(math.Float64bits(from)) ^ m.nameSeed
-		if m.noiseRng == nil {
-			m.noiseRng = rand.New(rand.NewSource(seed))
-		} else {
-			m.noiseRng.Seed(seed)
-		}
+		// window return identical waveforms. Reseeding the splitmix64
+		// source is O(1), so every capture restarts its stream without
+		// allocating. The microphone component is an FNV-1a hash of
+		// the name, so same-length names (mic-0, mic-1, ...) still get
+		// distinct noise streams.
+		m.noiseRng.Seed(r.Seed ^ int64(math.Float64bits(from)) ^ m.nameSeed)
 		audio.MixWhiteNoise(out, selfNoise, m.noiseRng)
 	}
 	return out

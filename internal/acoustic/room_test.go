@@ -161,6 +161,80 @@ func TestRoomMicSelfNoiseDeterministic(t *testing.T) {
 	}
 }
 
+// correlation is the Pearson correlation of two equal-length series.
+func correlation(a, b []float64) float64 {
+	var ma, mb float64
+	for i := range a {
+		ma += a[i]
+		mb += b[i]
+	}
+	ma /= float64(len(a))
+	mb /= float64(len(b))
+	var sab, saa, sbb float64
+	for i := range a {
+		da, db := a[i]-ma, b[i]-mb
+		sab += da * db
+		saa += da * da
+		sbb += db * db
+	}
+	return sab / math.Sqrt(saa*sbb)
+}
+
+// TestSelfNoiseMeanAndRMS checks the self-noise level: one second of a
+// silent room's capture is the self-noise alone, with mean ~0 (within
+// five standard errors) and the requested RMS.
+func TestSelfNoiseMeanAndRMS(t *testing.T) {
+	const rms = 0.01
+	for _, seed := range []int64{1, 42, -7} {
+		mic := NewRoom(44100, seed).AddMicrophone("ctl", Position{}, rms)
+		buf := mic.Capture(3, 4)
+		var mean float64
+		for _, x := range buf.Samples {
+			mean += x
+		}
+		mean /= float64(buf.Len())
+		if se := rms / math.Sqrt(float64(buf.Len())); math.Abs(mean) > 5*se {
+			t.Errorf("seed %d: self-noise mean %g, want within %g of 0", seed, mean, 5*se)
+		}
+		if got := buf.RMS(); math.Abs(got-rms) > 0.02*rms {
+			t.Errorf("seed %d: self-noise RMS %g, want %g ±2%%", seed, got, rms)
+		}
+	}
+}
+
+// TestSelfNoiseUncorrelated checks that the per-capture reseed keeps
+// streams independent where their keys are close: two microphones with
+// same-length names, consecutive windows of one microphone, and the
+// same microphone in rooms with adjacent seeds. Each pair spans 44 100
+// samples, so an independent pair's correlation has a standard error
+// of about 0.005; the bound is six of those.
+func TestSelfNoiseUncorrelated(t *testing.T) {
+	const bound = 0.03
+	r := NewRoom(44100, 5)
+	a := r.AddMicrophone("mic-a", Position{}, 0.01)
+	b := r.AddMicrophone("mic-b", Position{X: 1}, 0.01)
+	if c := correlation(a.Capture(0, 1).Samples, b.Capture(0, 1).Samples); math.Abs(c) > bound {
+		t.Errorf("same-length mic names: correlation %.4f, want |r| < %g", c, bound)
+	}
+
+	// Twenty 50 ms windows against each one's successor.
+	var cur, next []float64
+	for w := 0; w < 20; w++ {
+		from := float64(w) * 0.05
+		cur = append(cur, a.Capture(from, from+0.05).Samples...)
+		next = append(next, a.Capture(from+0.05, from+0.1).Samples...)
+	}
+	if c := correlation(cur, next); math.Abs(c) > bound {
+		t.Errorf("consecutive windows: correlation %.4f, want |r| < %g", c, bound)
+	}
+
+	m7 := NewRoom(44100, 7).AddMicrophone("ctl", Position{}, 0.01)
+	m8 := NewRoom(44100, 8).AddMicrophone("ctl", Position{}, 0.01)
+	if c := correlation(m7.Capture(0, 1).Samples, m8.Capture(0, 1).Samples); math.Abs(c) > bound {
+		t.Errorf("adjacent room seeds: correlation %.4f, want |r| < %g", c, bound)
+	}
+}
+
 func TestRoomDuplicateNamesPanic(t *testing.T) {
 	r := newTestRoom()
 	r.AddSpeaker("x", Position{})

@@ -183,6 +183,28 @@ func hashName(name string) int64 {
 	return int64(h)
 }
 
+// splitmix64 is the microphone self-noise generator: a
+// rand.Source64 whose Seed is O(1), because every capture reseeds it
+// with its (room seed, microphone, window start) key. The key is the
+// state; each draw steps it by the golden gamma and returns it through
+// the splitmix64 finalizer, whose avalanche keeps keys that differ in
+// a few low bits (adjacent room seeds, consecutive windows) on
+// uncorrelated streams (Steele, Lea & Flood, "Fast splittable
+// pseudorandom number generators", OOPSLA 2014).
+type splitmix64 struct{ state uint64 }
+
+func (s *splitmix64) Seed(seed int64) { s.state = uint64(seed) }
+
+func (s *splitmix64) Uint64() uint64 {
+	s.state += 0x9e3779b97f4a7c15
+	z := s.state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
+
 // Capture-path metric names. Counters accumulate across all
 // microphones of the room; the histogram records per-capture scanned
 // counts, so the cull rate (culled/scanned) and the per-window scan

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -85,5 +86,71 @@ func TestGoertzelPowerUnitAmplitude(t *testing.T) {
 	}
 	if GoertzelPower(nil, 441, sampleRate) != 0 {
 		t.Error("empty input should give 0")
+	}
+}
+
+// referenceResonate is the sample-major Goertzel loop: every resonator
+// steps once per sample, one after another. resonate must match it bit
+// for bit; it stays here as the oracle.
+func referenceResonate(coeff, s1, s2, samples []float64) {
+	for _, x := range samples {
+		for j, c := range coeff {
+			s0 := x + c*s1[j] - s2[j]
+			s2[j] = s1[j]
+			s1[j] = s0
+		}
+	}
+}
+
+func TestResonateMatchesSampleMajorLoop(t *testing.T) {
+	const rate = 44100.0
+	signal := streamTestSignal(1000, rate)
+	// Uneven segments: empty, single samples, odd and even lengths, so
+	// state is carried across calls at every parity.
+	cuts := []int{0, 0, 1, 2, 97, 300, 600, len(signal)}
+	for nf := 0; nf <= 33; nf++ {
+		coeff := make([]float64, nf)
+		for j := range coeff {
+			coeff[j] = 2 * math.Cos(2*math.Pi*(300+97.3*float64(j))/rate)
+		}
+		want1, want2 := make([]float64, nf), make([]float64, nf)
+		got1, got2 := make([]float64, nf), make([]float64, nf)
+		referenceResonate(coeff, want1, want2, signal)
+		for k := 1; k < len(cuts); k++ {
+			resonate(coeff, got1, got2, signal[cuts[k-1]:cuts[k]])
+		}
+		for j := range coeff {
+			if got1[j] != want1[j] || got2[j] != want2[j] {
+				t.Fatalf("%d resonators, lane %d: state (%v, %v), reference (%v, %v)",
+					nf, j, got1[j], got2[j], want1[j], want2[j])
+			}
+		}
+	}
+}
+
+func BenchmarkGoertzelKernel(b *testing.B) {
+	const rate = 44100.0
+	for _, nf := range []int{6, 25, 130} {
+		coeff := make([]float64, nf)
+		for j := range coeff {
+			coeff[j] = 2 * math.Cos(2*math.Pi*(300+97.3*float64(j))/rate)
+		}
+		s1, s2 := make([]float64, nf), make([]float64, nf)
+		for _, ns := range []int{441, 2205} {
+			samples := streamTestSignal(ns, rate)
+			for _, k := range []struct {
+				name string
+				run  func(coeff, s1, s2, samples []float64)
+			}{{"resonate", resonate}, {"reference", referenceResonate}} {
+				b.Run(fmt.Sprintf("tones=%d/samples=%d/%s", nf, ns, k.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						clear(s1)
+						clear(s2)
+						k.run(coeff, s1, s2, samples)
+					}
+				})
+			}
+		}
 	}
 }

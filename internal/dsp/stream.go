@@ -13,8 +13,8 @@ import (
 //
 // Both kernels are bit-exact with their batch counterparts: a window
 // emitted by SlidingGoertzel equals GoertzelPlan.MagnitudesInto over
-// the same samples (same recursion, same operation order per
-// frequency), and an OverlapSTFT frame equals
+// the same samples (both run the resonate kernel, with the same
+// operation order per frequency), and an OverlapSTFT frame equals
 // FFTPlan.WindowedSpectrumScratch over the same samples. At
 // hop == window the streaming path therefore reproduces the batch
 // path's output exactly — the equivalence the streaming controller's
@@ -33,6 +33,11 @@ import (
 // sliding DFT would cost less per hop but drifts numerically and only
 // handles bin-aligned frequencies; MDN tones are not bin-aligned.)
 //
+// Banks only start or emit on hop boundaries, and the started banks
+// are always a prefix of the bank array, so between two boundaries
+// every started bank advances over the same samples: Process runs the
+// batch kernel once per such segment over all started banks' state.
+//
 // State is reused between calls, so a SlidingGoertzel is not safe for
 // concurrent use; give each stream its own.
 type SlidingGoertzel struct {
@@ -44,15 +49,17 @@ type SlidingGoertzel struct {
 	HopN int
 
 	freqs []float64
-	coeff []float64 // 2*cos(2*pi*f/rate) per frequency
 
-	// banks*nf resonator state, laid out bank-major: bank b's state
-	// for frequency j is s1[b*nf+j].
+	// banks*nf resonator coefficients and state, laid out bank-major:
+	// bank b's lane for frequency j is index b*nf+j. The coefficients
+	// repeat per bank so one resonate call covers every started bank.
+	coeff  []float64
 	s1, s2 []float64
-	// startIn[b] counts samples until bank b begins its first window;
-	// remaining[b] counts samples until bank b emits.
-	startIn   []int
-	remaining []int
+	banks  int
+
+	active int // started banks: 0..active-1
+	fill   int // samples consumed since the last hop boundary
+	next   int // the bank that emits at the next boundary, once all have started
 
 	mags []float64 // emission scratch, one magnitude per frequency
 }
@@ -72,15 +79,17 @@ func NewSlidingGoertzel(freqs []float64, sampleRate float64, windowN, hopN int) 
 		WindowN:    windowN,
 		HopN:       hopN,
 		freqs:      append([]float64(nil), freqs...),
-		coeff:      make([]float64, nf),
+		coeff:      make([]float64, banks*nf),
 		s1:         make([]float64, banks*nf),
 		s2:         make([]float64, banks*nf),
-		startIn:    make([]int, banks),
-		remaining:  make([]int, banks),
+		banks:      banks,
 		mags:       make([]float64, nf),
 	}
 	for j, f := range s.freqs {
 		s.coeff[j] = 2 * math.Cos(2*math.Pi*f/sampleRate)
+	}
+	for b := 1; b < banks; b++ {
+		copy(s.coeff[b*nf:], s.coeff[:nf])
 	}
 	s.Reset()
 	return s
@@ -89,25 +98,18 @@ func NewSlidingGoertzel(freqs []float64, sampleRate float64, windowN, hopN int) 
 // Freqs returns the planned frequencies (shared slice; read-only).
 func (s *SlidingGoertzel) Freqs() []float64 { return s.freqs }
 
-// Banks returns the number of staggered resonator banks
-// (WindowN / HopN).
-func (s *SlidingGoertzel) Banks() int { return len(s.startIn) }
-
 // Reset discards all resonator state and restarts the stagger: the
 // next sample fed to Process is sample zero of the first window.
 func (s *SlidingGoertzel) Reset() {
-	for i := range s.s1 {
-		s.s1[i] = 0
-		s.s2[i] = 0
-	}
-	for b := range s.startIn {
-		s.startIn[b] = b * s.HopN
-		s.remaining[b] = s.WindowN
-	}
+	clear(s.s1)
+	clear(s.s2)
+	s.active = 1
+	s.fill = 0
+	s.next = 0
 }
 
-// Process consumes samples in order, advancing every active bank once
-// per sample, and calls emit each time a bank completes a window. The
+// Process consumes samples in order, advancing every started bank
+// over them, and calls emit each time a bank completes a window. The
 // magnitude slice passed to emit is scratch owned by the bank, valid
 // until Process continues — copy it to retain. Feeding HopN samples
 // per call yields exactly one emission per call once the first window
@@ -117,37 +119,34 @@ func (s *SlidingGoertzel) Process(samples []float64, emit func(mags []float64)) 
 	if nf == 0 {
 		return
 	}
-	coeff := s.coeff
-	for _, x := range samples {
-		for b := range s.startIn {
-			if s.startIn[b] > 0 {
-				s.startIn[b]--
-				continue
-			}
-			s1 := s.s1[b*nf : (b+1)*nf]
-			s2 := s.s2[b*nf : (b+1)*nf]
-			for j, c := range coeff {
-				s0 := x + c*s1[j] - s2[j]
-				s2[j] = s1[j]
-				s1[j] = s0
-			}
-			s.remaining[b]--
-			if s.remaining[b] == 0 {
-				for j := range s.mags {
-					power := s1[j]*s1[j] + s2[j]*s2[j] - coeff[j]*s1[j]*s2[j]
-					if power < 0 {
-						power = 0
-					}
-					s.mags[j] = math.Sqrt(power)
-				}
-				for j := range s1 {
-					s1[j] = 0
-					s2[j] = 0
-				}
-				s.remaining[b] = s.WindowN
-				emit(s.mags)
-			}
+	for len(samples) > 0 {
+		seg := min(s.HopN-s.fill, len(samples))
+		live := s.active * nf
+		resonate(s.coeff[:live], s.s1[:live], s.s2[:live], samples[:seg])
+		samples = samples[seg:]
+		s.fill += seg
+		if s.fill < s.HopN {
+			return
 		}
+		// Hop boundary: the next bank starts, or, once all have
+		// started, the oldest completes its window, emits and restarts.
+		s.fill = 0
+		if s.active < s.banks {
+			s.active++
+			continue
+		}
+		lo, hi := s.next*nf, (s.next+1)*nf
+		s1, s2 := s.s1[lo:hi], s.s2[lo:hi]
+		for j := range s.mags {
+			s.mags[j] = magnitude(s.coeff[j], s1[j], s2[j])
+		}
+		clear(s1)
+		clear(s2)
+		s.next++
+		if s.next == s.banks {
+			s.next = 0
+		}
+		emit(s.mags)
 	}
 }
 

@@ -22,37 +22,56 @@ func streamTestSignal(n int, rate float64) []float64 {
 	return s
 }
 
+// watchTones returns n distinct, non-bin-aligned test frequencies.
+func watchTones(n int) []float64 {
+	f := make([]float64, n)
+	for j := range f {
+		f[j] = 400 + 61.7*float64(j)
+	}
+	return f
+}
+
 func TestSlidingGoertzelBitExactWithBatch(t *testing.T) {
 	const (
 		rate    = 44100.0
 		windowN = 2205
 	)
-	freqs := []float64{1017, 2531, 3700}
+	watches := [][]float64{{1017, 2531, 3700}}
+	for _, n := range []int{1, 6, 8, 9, 25, 130} {
+		watches = append(watches, watchTones(n))
+	}
 	signal := streamTestSignal(windowN*6, rate)
-	for _, hopN := range []int{441, 735, windowN} {
-		sg := NewSlidingGoertzel(freqs, rate, windowN, hopN)
-		batch := NewGoertzelPlan(freqs, rate)
-		var ref []float64
-		win := 0
-		// Feed hop-sized chunks; window w covers samples
-		// [w*hopN, w*hopN+windowN) and must match the batch plan over
-		// exactly those samples, float for float.
-		for off := 0; off+hopN <= len(signal); off += hopN {
-			sg.Process(signal[off:off+hopN], func(mags []float64) {
-				start := win * hopN
-				ref = batch.MagnitudesInto(ref, signal[start:start+windowN])
-				for j := range mags {
-					if mags[j] != ref[j] {
-						t.Fatalf("hopN=%d window %d freq %g: sliding %v != batch %v",
-							hopN, win, freqs[j], mags[j], ref[j])
-					}
+	for _, freqs := range watches {
+		for _, hopN := range []int{441, 735, windowN} {
+			// Hop-sized chunks first, then chunks that straddle hop
+			// boundaries so Process splits them mid-call.
+			for _, chunk := range []int{hopN, 1, 97, hopN + 3} {
+				sg := NewSlidingGoertzel(freqs, rate, windowN, hopN)
+				batch := NewGoertzelPlan(freqs, rate)
+				var ref []float64
+				win := 0
+				// Window w covers samples [w*hopN, w*hopN+windowN) and
+				// must match the batch plan over exactly those samples,
+				// float for float.
+				for off := 0; off < len(signal); off += chunk {
+					sg.Process(signal[off:min(off+chunk, len(signal))], func(mags []float64) {
+						start := win * hopN
+						ref = batch.MagnitudesInto(ref, signal[start:start+windowN])
+						for j := range mags {
+							if mags[j] != ref[j] {
+								t.Fatalf("%d tones hopN=%d chunk=%d window %d freq %g: sliding %v != batch %v",
+									len(freqs), hopN, chunk, win, freqs[j], mags[j], ref[j])
+							}
+						}
+						win++
+					})
 				}
-				win++
-			})
-		}
-		wantWins := (len(signal) - windowN) / hopN
-		if win != wantWins+1 {
-			t.Errorf("hopN=%d emitted %d windows, want %d", hopN, win, wantWins+1)
+				wantWins := (len(signal) - windowN) / hopN
+				if win != wantWins+1 {
+					t.Errorf("%d tones hopN=%d chunk=%d emitted %d windows, want %d",
+						len(freqs), hopN, chunk, win, wantWins+1)
+				}
+			}
 		}
 	}
 }
