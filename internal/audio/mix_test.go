@@ -1,6 +1,7 @@
 package audio
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -9,8 +10,9 @@ import (
 // zero steady-state allocations; their contract is bit-identity with
 // the allocate-then-MixAt path they replace. These tests pin exactly
 // that, sample for sample, across awkward offsets (negative, past the
-// end, sub-sample) and tone lengths (shorter than the envelope,
-// zero-length).
+// end, sub-sample, starting on and beside a phasor anchor) and tone
+// lengths (shorter than the envelope, zero-length, many phasor
+// blocks long).
 
 func TestMixEnvelopeAtMatchesRenderMixAt(t *testing.T) {
 	const sr = 44100.0
@@ -19,8 +21,14 @@ func TestMixEnvelopeAtMatchesRenderMixAt(t *testing.T) {
 		{Frequency: 1234.5, Duration: 0.031, Amplitude: 0.8, Phase: 1.1},
 		{Frequency: 7900, Duration: 0.004, Amplitude: 0.05}, // shorter than the envelope
 		{Frequency: 200, Duration: 0, Amplitude: 1},         // renders nothing
+		{Frequency: 3001.7, Duration: 0.7, Amplitude: 0.6, Phase: 6.28},
 	}
-	offsets := []float64{0, 0.01, 0.0123456, -0.02, 0.19, -0.1, 0.21}
+	offsets := []float64{0, 0.01, 0.0123456, -0.02, 0.19, -0.1, 0.21, -0.45}
+	// The buffer starts this many samples into the tone: beside,
+	// on and between phasor anchors.
+	for _, k := range []float64{1, 63, 64, 65, 127} {
+		offsets = append(offsets, -k/sr)
+	}
 	for _, tone := range tones {
 		for _, off := range offsets {
 			want := NewBuffer(sr, 0.2)
@@ -31,6 +39,28 @@ func TestMixEnvelopeAtMatchesRenderMixAt(t *testing.T) {
 				if want.Samples[i] != got.Samples[i] {
 					t.Fatalf("tone %+v offset %g: sample %d = %x, want %x",
 						tone, off, i, got.Samples[i], want.Samples[i])
+				}
+			}
+		}
+	}
+}
+
+// TestMixEnvelopeAtTracksSin bounds the phasor's drift from the
+// math.Sin it replaces, before the envelope (a zero-length envelope
+// leaves every sample unscaled).
+func TestMixEnvelopeAtTracksSin(t *testing.T) {
+	const sr = 44100.0
+	for _, hz := range []float64{20, 55, 440, 1234.5, 7900, 15000, 20000} {
+		for _, phase := range []float64{0, 1.1, 6.28} {
+			for _, amp := range []float64{1, 0.3} {
+				tone := Tone{Frequency: hz, Duration: 1, Amplitude: amp, Phase: phase}
+				b := tone.MixEnvelopeAt(NewBuffer(sr, 1), 0, 0)
+				w := 2 * math.Pi * hz / sr
+				for i, got := range b.Samples {
+					want := amp * math.Sin(w*float64(i)+phase)
+					if d := math.Abs(got - want); d > 1e-10*amp {
+						t.Fatalf("%g Hz phase %g amp %g: sample %d off by %g", hz, phase, amp, i, d)
+					}
 				}
 			}
 		}

@@ -72,13 +72,13 @@ func (s Song) Render(sampleRate, d float64) *Buffer {
 
 		// Bass: root an octave down, one note per beat.
 		bass := Tone{Frequency: noteHz(rootHz/2, chord[0]), Duration: beat * 0.9, Amplitude: 0.8}
-		out.MixAt(bass.Render(sampleRate), t, 1)
+		bass.MixEnvelopeAt(out, t, DefaultEnvelope)
 
 		// Pad: full triad, sustained.
 		for _, deg := range chord {
 			pad := Tone{Frequency: noteHz(rootHz, deg), Duration: beat, Amplitude: 0.25,
 				Phase: rng.Float64() * 6.28}
-			out.MixAt(pad.Render(sampleRate), t, 1)
+			pad.MixEnvelopeAt(out, t, DefaultEnvelope)
 		}
 
 		// Lead: two eighth-note pentatonic steps per beat.
@@ -92,7 +92,7 @@ func (s Song) Render(sampleRate, d float64) *Buffer {
 			}
 			deg := pentatonic[melodyIdx%len(pentatonic)] + 12*(melodyIdx/len(pentatonic))
 			lead := Tone{Frequency: noteHz(rootHz*2, deg), Duration: beat / 2 * 0.8, Amplitude: 0.5}
-			out.MixAt(lead.Render(sampleRate), t+float64(eighth)*beat/2, 1)
+			lead.MixEnvelopeAt(out, t+float64(eighth)*beat/2, DefaultEnvelope)
 		}
 
 		// Percussion: a short noise burst on the beat (kick/snare feel).

@@ -35,36 +35,25 @@ func (t Tone) Render(sampleRate float64) *Buffer {
 // RenderEnvelope synthesizes the tone with an explicit attack/release
 // length in seconds.
 func (t Tone) RenderEnvelope(sampleRate, envelope float64) *Buffer {
-	b := NewBuffer(sampleRate, t.Duration)
-	n := len(b.Samples)
-	if n == 0 {
-		return b
-	}
-	edge := int(envelope * sampleRate)
-	if edge > n/2 {
-		edge = n / 2
-	}
-	w := 2 * math.Pi * t.Frequency / sampleRate
-	for i := 0; i < n; i++ {
-		v := t.Amplitude * math.Sin(w*float64(i)+t.Phase)
-		switch {
-		case edge > 0 && i < edge:
-			v *= float64(i) / float64(edge)
-		case edge > 0 && i >= n-edge:
-			v *= float64(n-1-i) / float64(edge)
-		}
-		b.Samples[i] = v
-	}
-	return b
+	return t.MixEnvelopeAt(NewBuffer(sampleRate, t.Duration), 0, envelope)
 }
+
+// phasorBlock is the tone-sample distance between exact phasor anchors.
+const phasorBlock = 64
 
 // MixEnvelopeAt synthesizes the tone directly into b starting at the
 // given offset in seconds, with the same attack/release envelope as
-// RenderEnvelope, and returns b. The samples added are bit-identical
-// to b.MixAt(t.RenderEnvelope(b.SampleRate, envelope), offset, 1) —
-// same synthesis arithmetic, same rounding — but nothing is allocated,
-// which is what the acoustic capture hot path needs to reach zero
-// steady-state allocations.
+// RenderEnvelope, and returns b without allocating: the acoustic
+// capture hot path needs zero steady-state allocations.
+//
+// The sine is a block-anchored phasor. At each tone sample a that is
+// a multiple of phasorBlock, counted from the tone's start, it is set
+// exactly to Sincos(w*a + Phase); in between, two chains take turns
+// (one holds sample i, the other i+1), each rotating by 2w, so the
+// loop waits on half the multiply-add latency of a single chain. A
+// span starting mid-block pre-rolls from the anchor, so each sample is
+// a pure function of (tone, i) whatever part of the tone lands in b.
+// It is within ~1e-11·Amplitude of math.Sin over a second of tone.
 func (t Tone) MixEnvelopeAt(b *Buffer, offset, envelope float64) *Buffer {
 	sr := b.SampleRate
 	n := int(math.Round(t.Duration * sr))
@@ -76,6 +65,8 @@ func (t Tone) MixEnvelopeAt(b *Buffer, offset, envelope float64) *Buffer {
 		edge = n / 2
 	}
 	w := 2 * math.Pi * t.Frequency / sr
+	sw, cw := math.Sincos(w)
+	s2w, c2w := math.Sincos(2 * w)
 	start := int(math.Round(offset * sr))
 	// Clamp the tone-sample range to the part that lands inside b, so
 	// the loop carries no per-sample bounds test.
@@ -86,15 +77,24 @@ func (t Tone) MixEnvelopeAt(b *Buffer, offset, envelope float64) *Buffer {
 	if start+hi > len(b.Samples) {
 		hi = len(b.Samples) - start
 	}
-	for i := lo; i < hi; i++ {
-		v := t.Amplitude * math.Sin(w*float64(i)+t.Phase)
-		switch {
-		case edge > 0 && i < edge:
-			v *= float64(i) / float64(edge)
-		case edge > 0 && i >= n-edge:
-			v *= float64(n-1-i) / float64(edge)
+	for a := lo - lo%phasorBlock; a < hi; a += phasorBlock {
+		s0, c0 := math.Sincos(w*float64(a) + t.Phase)
+		s1, c1 := s0*cw+c0*sw, c0*cw-s0*sw
+		i := a
+		for ; i < lo; i++ {
+			s0, c0, s1, c1 = s1, c1, s0*c2w+c0*s2w, c0*c2w-s0*s2w
 		}
-		b.Samples[start+i] += v
+		for end := min(a+phasorBlock, hi); i < end; i++ {
+			v := t.Amplitude * s0
+			switch {
+			case edge > 0 && i < edge:
+				v *= float64(i) / float64(edge)
+			case edge > 0 && i >= n-edge:
+				v *= float64(n-1-i) / float64(edge)
+			}
+			b.Samples[start+i] += v
+			s0, c0, s1, c1 = s1, c1, s0*c2w+c0*s2w, c0*c2w-s0*s2w
+		}
 	}
 	return b
 }
@@ -110,7 +110,7 @@ func Chord(sampleRate float64, tones ...Tone) *Buffer {
 	}
 	out := NewBuffer(sampleRate, maxDur)
 	for _, t := range tones {
-		out.MixAt(t.Render(sampleRate), 0, 1)
+		t.MixEnvelopeAt(out, 0, DefaultEnvelope)
 	}
 	return out
 }
@@ -128,7 +128,7 @@ func Sequence(sampleRate, gap float64, tones ...Tone) *Buffer {
 	out := NewBuffer(sampleRate, total)
 	at := 0.0
 	for _, t := range tones {
-		out.MixAt(t.Render(sampleRate), at, 1)
+		t.MixEnvelopeAt(out, at, DefaultEnvelope)
 		at += t.Duration + gap
 	}
 	return out

@@ -161,9 +161,6 @@ func (f *Fleet) syncActive() {
 	f.activeDirty = false
 }
 
-// Microphones returns the number of registered listening points.
-func (f *Fleet) Microphones() int { return len(f.mics) }
-
 // Instrument registers the fleet's telemetry: a gauge of workers
 // currently busy and a histogram of per-window fan-out wall time
 // (capture + detect across all microphones, barrier included).

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"mdn/internal/acoustic"
@@ -153,6 +152,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			return nil, fmt.Errorf("scenario: chaos drop rate %g outside [0, 1]", rate)
 		}
 	}
+	if err := checkGrid("chaos", len(names), len(drops)); err != nil {
+		return nil, err
+	}
 	if cfg.StreamHop > 0 {
 		if err := core.CheckStreamHop(core.DefaultWindow, 44100, cfg.StreamHop); err != nil {
 			return nil, fmt.Errorf("scenario: stream_hop: %w", err)
@@ -182,7 +184,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			// from execution order: same config, same faults. The seed
 			// is bit-mixed because math/rand's early draws are visibly
 			// correlated across sequential seeds.
-			Seed: mixSeed(cfg.Seed*10000 + int64(c.si)*100 + int64(c.ri)),
+			Seed: gridSeed(cfg.Seed, c.si, c.ri),
 		}
 		pt := runs[c.si](reg, faults, dur, cfg.StreamHop)
 		pt.Scenario = names[c.si]
@@ -209,6 +211,29 @@ func (r *ChaosReport) Table() string {
 			p.Health, p.RecoveredPanics, p.Quarantined, p.Notes)
 	}
 	return b.String()
+}
+
+// gridStride bounds each dimension of a two-dimensional sweep: cell
+// (i, j) is seeded from seed*gridStride² + i*gridStride + j, which is
+// unique only while i and j stay below gridStride. Past that, cell
+// (i, gridStride) would share cell (i+1, 0)'s seed, and cell
+// (gridStride, j) cell (0, j)'s in the sweep seeded one higher.
+const gridStride = 100
+
+// checkGrid rejects a rows × cols sweep whose cells gridSeed cannot
+// keep apart.
+func checkGrid(sweep string, rows, cols int) error {
+	if rows > gridStride || cols > gridStride {
+		return fmt.Errorf("scenario: %s sweep grid %d×%d exceeds %d entries per dimension",
+			sweep, rows, cols, gridStride)
+	}
+	return nil
+}
+
+// gridSeed derives cell (i, j)'s seed from the sweep seed and the
+// grid position, never from execution order.
+func gridSeed(seed int64, i, j int) int64 {
+	return mixSeed(seed*(gridStride*gridStride) + int64(i)*gridStride + int64(j))
 }
 
 // mixSeed finalises a seed splitmix64-style. Sequential seeds fed
@@ -594,17 +619,4 @@ func chaosDeviceHealth(reg *telemetry.Registry, faults netsim.Faults, dur, strea
 	pt.Notes = fmt.Sprintf("recal=%d quarantine=%d rejoin=%d rekey=%d",
 		recals, quars, rejoins, rekeys)
 	return pt
-}
-
-// SortPoints orders a report's points by scenario then drop rate —
-// already the generation order, but callers merging reports use it to
-// restore the canonical layout.
-func (r *ChaosReport) SortPoints() {
-	sort.SliceStable(r.Points, func(i, j int) bool {
-		a, b := r.Points[i], r.Points[j]
-		if a.Scenario != b.Scenario {
-			return a.Scenario < b.Scenario
-		}
-		return a.DropRate < b.DropRate
-	})
 }

@@ -369,6 +369,43 @@ func TestChaosBadDropRateRejected(t *testing.T) {
 	}
 }
 
+func TestSweepRejectsSeedCollidingGrids(t *testing.T) {
+	many := make([]float64, gridStride+1)
+	if _, err := RunChaos(ChaosConfig{DropRates: many, DurationS: 5}); err == nil {
+		t.Error("chaos sweep with 101 drop rates accepted")
+	}
+	if _, err := RunModemSweep(ModemSweepConfig{CorruptRates: many}); err == nil {
+		t.Error("modem sweep with 101 corrupt rates accepted")
+	}
+	fecs := make([]string, gridStride+1)
+	for i := range fecs {
+		fecs[i] = "none"
+	}
+	if _, err := RunModemSweep(ModemSweepConfig{FECs: fecs}); err == nil {
+		t.Error("modem sweep with 101 FECs accepted")
+	}
+
+	// Every grid that is accepted keeps the seeds it always had, and
+	// they are distinct cell by cell.
+	if err := checkGrid("test", gridStride, gridStride); err != nil {
+		t.Fatalf("%d×%d grid rejected: %v", gridStride, gridStride, err)
+	}
+	const seed = 7
+	seen := make(map[int64]bool)
+	for i := 0; i < gridStride; i++ {
+		for j := 0; j < gridStride; j++ {
+			got := gridSeed(seed, i, j)
+			if want := mixSeed(seed*10000 + int64(i)*100 + int64(j)); got != want {
+				t.Fatalf("cell (%d, %d) seed %d, want %d", i, j, got, want)
+			}
+			if seen[got] {
+				t.Fatalf("cell (%d, %d) repeats a seed", i, j)
+			}
+			seen[got] = true
+		}
+	}
+}
+
 func TestScenarioFaultsConfigDegradesReportHealth(t *testing.T) {
 	cfg := &Config{
 		Name:      "faulty",

@@ -157,6 +157,9 @@ func RunModemSweep(cfg ModemSweepConfig) (*ModemSweepReport, error) {
 			return nil, fmt.Errorf("scenario: modem corrupt rate %g outside [0, 1]", r)
 		}
 	}
+	if err := checkGrid("modem", len(fecs), len(rates)); err != nil {
+		return nil, err
+	}
 	if cfg.StreamHop > 0 {
 		if err := core.CheckStreamHop(core.DefaultWindow, 44100, cfg.StreamHop); err != nil {
 			return nil, fmt.Errorf("scenario: stream_hop: %w", err)
@@ -173,7 +176,7 @@ func RunModemSweep(cfg ModemSweepConfig) (*ModemSweepReport, error) {
 	rep := &ModemSweepReport{Seed: cfg.Seed, Points: make([]ModemSweepPoint, len(cells))}
 	parallel.ForEach(len(cells), parallel.Workers(cfg.Workers), func(i int) {
 		c := cells[i]
-		seed := mixSeed(cfg.Seed*10000 + int64(c.fi)*100 + int64(c.ri))
+		seed := gridSeed(cfg.Seed, c.fi, c.ri)
 		rep.Points[i] = runModemPoint(schemes[c.fi], rates[c.ri], frames, size, seed, cfg.StreamHop)
 		rep.Points[i].FEC = fecs[c.fi]
 		rep.Points[i].CorruptRate = rates[c.ri]
