@@ -4,13 +4,13 @@ import (
 	"sync"
 
 	"mdn/internal/acoustic"
-	"mdn/internal/audio"
 	"mdn/internal/netsim"
 	"mdn/internal/telemetry"
 )
 
 // Controller is the Music-Defined Network controller: it polls its
-// microphone in fixed windows, runs the tone detector, and fans
+// microphones in fixed windows through its Fleet (a fleet of one until
+// EnableFleet adds listening points), runs the tone detector, and fans
 // detections out to subscribed applications. It can coexist with (or
 // replace) a conventional SDN controller — applications that need to
 // program switches hold openflow channels of their own.
@@ -33,11 +33,6 @@ type Controller struct {
 	// the health state machine. Applications deployed by a Manager
 	// share it.
 	Errors *ErrorLog
-	// ProfileSubscribers, when true, runs each subscriber callback
-	// under a pprof label ("mdn_subscriber" = name) so CPU profiles
-	// attribute samples per application. It allocates per call — an
-	// opt-in profiling aid, not a steady-state setting.
-	ProfileSubscribers bool
 	// Retention, when positive, bounds the acoustic history the window
 	// loop keeps: after analysing [from, to) the controller compacts
 	// the room's emission store below from−Retention (see
@@ -56,7 +51,6 @@ type Controller struct {
 	fleet  *Fleet
 	stream *StreamController
 	devmon *DeviceMonitor
-	buf    *audio.Buffer // reused capture scratch for the single-mic path
 
 	// mu guards the subscriber list so registration is safe from any
 	// goroutine, at any time — including while the poll loop runs.
@@ -73,7 +67,6 @@ type Controller struct {
 	snap    []*subscriber
 
 	started bool
-	startAt float64
 	health  healthInputs
 	tm      controllerMetrics
 
@@ -90,14 +83,18 @@ type Controller struct {
 // matching the paper's sample length.
 const DefaultWindow = 0.050
 
-// NewController builds a controller polling the given microphone.
+// NewController builds a controller polling the given microphone: a
+// serial fleet of one whose template is det.
 func NewController(sim *netsim.Sim, mic *acoustic.Microphone, det *Detector) *Controller {
+	fleet := NewFleet(det, 1)
+	fleet.AddMicrophone(mic)
 	return &Controller{
 		Window:   DefaultWindow,
 		Detector: det,
 		Errors:   NewErrorLog(),
 		sim:      sim,
 		mic:      mic,
+		fleet:    fleet,
 	}
 }
 
@@ -136,7 +133,6 @@ func (c *Controller) Start(at float64) {
 		c.ticker.Stop()
 	}
 	c.started = true
-	c.startAt = at
 	c.health.lastWindowEnd = at
 	// The window ending at tick time t covers [t-Window, t): all
 	// emissions overlapping it were scheduled by events at earlier
@@ -164,34 +160,17 @@ func (c *Controller) analyse(from, to float64) {
 	// Decode span: the wall-clock cost of capture + detection, the
 	// quantity Figure 2b bounds against the 50 ms window budget.
 	sp := telemetry.StartSpan(c.tm.decode, c.tm.wall)
-	var dets []Detection
-	if c.fleet != nil {
-		dets = c.fleet.Analyse(from, to)
-	} else if c.devmon != nil {
-		// Single-microphone path with device monitoring: same capture,
-		// same filter, but the threshold is the monitor's recalibrated
-		// floor and the amplitude estimates feed its noise tracker.
-		c.buf = c.mic.CaptureInto(c.buf, from, to)
-		minAmp := c.devmon.floorFor(0, c.Detector.MinAmplitude)
-		var amps []float64
-		dets, amps = c.Detector.DetectCalibrated(c.buf, from, minAmp)
-		c.devmon.ObserveMic(0, from, dets, amps)
-	} else {
-		c.buf = c.mic.CaptureInto(c.buf, from, to)
-		dets = c.Detector.Detect(c.buf, from)
-	}
+	dets := c.fleet.Analyse(from, to)
 	sp.End()
 	c.noteDetections(from, to, dets)
-	if c.Retention > 0 {
-		c.mic.Room().CompactBefore(from - c.Retention)
-	}
 }
 
 // noteDetections folds one analysed window into the controller:
-// counters, health inputs, and the supervised subscriber fan-out. It
-// is the shared back half of the batch window loop and the streaming
-// pipeline — both paths feed the same subscribers with the same batch
-// shape, so applications run unchanged on either.
+// counters, health inputs, the supervised subscriber fan-out, and the
+// retention compaction. It is the shared back half of the batch window
+// loop and the streaming pipeline — both paths feed the same
+// subscribers with the same batch shape, so applications run unchanged
+// on either.
 func (c *Controller) noteDetections(from, to float64, dets []Detection) {
 	if c.devmon != nil {
 		// Device-health fold: noise EWMAs, recalibration, quarantine,
@@ -218,6 +197,9 @@ func (c *Controller) noteDetections(from, to float64, dets []Detection) {
 			}
 		}
 	}
+	if c.Retention > 0 {
+		c.mic.Room().CompactBefore(from - c.Retention)
+	}
 }
 
 // AnalyseOnce runs one out-of-band analysis over [from, to) without
@@ -236,22 +218,19 @@ func (c *Controller) AnalyseOnce(from, to float64) ([]Detection, error) {
 	return c.Detector.Detect(buf, from), nil
 }
 
-// EnableFleet switches the controller's window analysis to a
-// worker-pool fleet engine cloned from its detector, seeded with the
-// controller's own microphone, and returns the fleet so further
-// listening points can be added with AddMicrophone. workers <= 0
-// means GOMAXPROCS. Detections from all microphones are merged by
-// (time, frequency) before dispatch, so subscriber semantics are
-// unchanged — handlers still see one ordered batch per window.
+// EnableFleet resizes the controller's fleet to a pool of workers
+// (workers <= 0 means GOMAXPROCS) and returns it, so further listening
+// points can be added with AddMicrophone. Detections from all
+// microphones are merged by (time, frequency) before dispatch, so
+// subscriber semantics are unchanged — handlers still see one ordered
+// batch per window.
 func (c *Controller) EnableFleet(workers int) *Fleet {
-	f := NewFleet(c.Detector, workers)
-	f.AddMicrophone(c.mic)
-	c.fleet = f
-	return f
+	c.fleet.resize(workers)
+	return c.fleet
 }
 
-// Fleet returns the controller's fleet engine, or nil when the
-// controller is on the single-microphone path.
+// Fleet returns the controller's fleet engine: the serial fleet of one
+// holding the controller's microphone, or the fleet EnableFleet sized.
 func (c *Controller) Fleet() *Fleet { return c.fleet }
 
 // Mic returns the controller's microphone.

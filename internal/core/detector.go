@@ -73,9 +73,9 @@ type Detector struct {
 	// window.
 	mu    sync.Mutex
 	watch []float64
-	// watchRev counts watch-list edits; Fleet snapshots it at fan-out
-	// and re-checks it at merge to detect a mid-window edit (see
-	// Fleet.Analyse). Atomic so the check never races the edit.
+	// watchRev counts watch-list edits; the Fleet compares it at
+	// fan-out to decide whether to retake its watch snapshot. Atomic so
+	// the check never races the edit.
 	watchRev atomic.Uint64
 
 	// Reused scratch: the controller calls Detect once per 50 ms
@@ -129,9 +129,8 @@ func (d *Detector) WatchLen() int {
 }
 
 // WatchRev returns the watch-list revision: it increments on every
-// AddWatch. Fleet snapshots it before fanning a window out and
-// re-checks it at merge, so an edit landing mid-window is detected
-// rather than half-applied.
+// AddWatch. The Fleet retakes its watch snapshot when it moves, so an
+// edit lands whole at the next window rather than half-applied.
 func (d *Detector) WatchRev() uint64 { return d.watchRev.Load() }
 
 // AddWatch extends the watch list. It is safe from any goroutine at
@@ -185,33 +184,25 @@ func (d *Detector) Detect(buf *audio.Buffer, windowStart float64) []Detection {
 	if len(d.watch) == 0 {
 		return nil
 	}
-	return d.filter(d.amplitudes(buf), windowStart)
+	d.out = filterDetections(d.out[:0], d.amplitudes(buf), d.watch, d.MinAmplitude, d.RelativeFloor, windowStart)
+	if len(d.out) == 0 {
+		return nil
+	}
+	return d.out
 }
 
-// DetectCalibrated is Detect with an explicit absolute threshold and
-// the raw per-watch amplitude estimates exposed: the device-health
-// monitor's entry point. A recalibrated per-microphone floor replaces
-// MinAmplitude (pass d.MinAmplitude to reproduce Detect bit-exactly),
-// and the amplitudes feed the monitor's fingerprints and noise-floor
-// trackers without a second analysis pass.
-//
-// Both returned slices are detector scratch, valid until the next
-// analysis call on this detector.
-func (d *Detector) DetectCalibrated(buf *audio.Buffer, windowStart, minAmp float64) ([]Detection, []float64) {
-	if buf == nil || buf.Len() == 0 {
-		return nil, nil
+// windowAmplitudes is the batch transform: the per-watch amplitude
+// estimates of one captured window (nil for an empty capture), under
+// the watch lock. The fleet's per-microphone stage and the device
+// monitor's quarantine probe filter them. The returned slice is
+// detector scratch.
+func (d *Detector) windowAmplitudes(buf *audio.Buffer) []float64 {
+	if buf.Len() == 0 {
+		return nil
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.watch) == 0 {
-		return nil, nil
-	}
-	amps := d.amplitudes(buf)
-	d.out = filterDetections(d.out[:0], amps, d.watch, minAmp, d.RelativeFloor, windowStart)
-	if len(d.out) == 0 {
-		return nil, amps
-	}
-	return d.out, amps
+	return d.amplitudes(buf)
 }
 
 // amplitudes computes the per-watch pre-threshold amplitude estimates
@@ -242,22 +233,12 @@ func (d *Detector) ampsGoertzel(buf *audio.Buffer) []float64 {
 	return d.amps
 }
 
-// filter applies the absolute and relative thresholds to per-watch
-// amplitude estimates. The caller holds d.mu.
-func (d *Detector) filter(amps []float64, windowStart float64) []Detection {
-	d.out = filterDetections(d.out[:0], amps, d.watch, d.MinAmplitude, d.RelativeFloor, windowStart)
-	if len(d.out) == 0 {
-		return nil
-	}
-	return d.out
-}
-
 // filterDetections appends the amplitudes that clear both the absolute
 // floor and the relative floor (a fraction of the loudest watched
-// frequency in the window) to out as detections. It is shared by the
-// batch detector and the streaming per-window filter so the two apply
-// identical float operations — the bit-exactness contract at
-// hop == window.
+// frequency in the window) to out as detections. Detect, the fleet's
+// per-microphone stage (after either transform) and the quarantine
+// probe all filter through it, so they apply identical float
+// operations — the bit-exactness contract at hop == window.
 func filterDetections(out []Detection, amps, watch []float64, minAmp, relFloor, windowStart float64) []Detection {
 	maxAmp := 0.0
 	for _, a := range amps {

@@ -112,7 +112,9 @@ type DeviceHealth struct {
 // analysed the microphone this window — workers own disjoint
 // microphones within a window, and the fleet barrier orders their
 // writes before the driver's fold — everything else belongs to the
-// driver goroutine.
+// driver goroutine. Whether the microphone is quarantined is the
+// fleet's to say (Fleet.IsQuarantined): it is the one owner of the
+// fan-out's membership.
 type micTracker struct {
 	name string
 	mic  *acoustic.Microphone
@@ -139,8 +141,7 @@ type micTracker struct {
 	missStreak int     // consecutive windows peers heard tones and this mic did not
 	probeHits  int     // consecutive successful quarantine probes
 
-	state       DeviceState
-	quarantined bool
+	state DeviceState
 
 	transitions    uint64
 	recalibrations uint64
@@ -257,12 +258,11 @@ type DeviceMonitor struct {
 }
 
 // EnableDeviceMonitor attaches a device-health monitor to the
-// controller: every microphone known at call time (the fleet's list,
-// or the controller's own on the single-microphone path) is tracked
-// for noise drift and deafness, and speakers registered afterwards
-// with WatchSpeaker are tracked for detuning and silence. Call after
-// EnableFleet and after all microphones are registered; returns the
-// monitor for knob tuning and speaker registration.
+// controller: every microphone in the controller's fleet at call time
+// is tracked for noise drift and deafness, and speakers registered
+// afterwards with WatchSpeaker are tracked for detuning and silence.
+// Call after EnableFleet and after all microphones are registered;
+// returns the monitor for knob tuning and speaker registration.
 func (c *Controller) EnableDeviceMonitor() *DeviceMonitor {
 	m := &DeviceMonitor{
 		NoiseAlpha:       0.3,
@@ -281,14 +281,10 @@ func (c *Controller) EnableDeviceMonitor() *DeviceMonitor {
 		rewrite:          make(map[float64]float64),
 		detected:         make(map[float64]float64),
 	}
-	if c.fleet != nil {
-		for _, mic := range c.fleet.mics {
-			m.mics = append(m.mics, &micTracker{name: mic.Name, mic: mic})
-		}
-		c.fleet.mon = m
-	} else {
-		m.mics = append(m.mics, &micTracker{name: c.mic.Name, mic: c.mic})
+	for _, mic := range c.fleet.mics {
+		m.mics = append(m.mics, &micTracker{name: mic.Name, mic: mic})
 	}
+	c.fleet.mon = m
 	c.devmon = m
 	if c.tm.reg != nil {
 		m.Instrument(c.tm.reg)
@@ -319,22 +315,26 @@ func (m *DeviceMonitor) WatchSpeaker(name string, voice *Voice, freqs ...float64
 // noise estimate — tones occupy at most a few bins) and whether
 // anything was detected. Called by whichever goroutine analysed the
 // microphone; the fold into the EWMA happens on the driver in
-// finishWindow, so a window re-run (stale watch retry) just overwrites
-// the observation.
+// finishWindow.
 func (m *DeviceMonitor) ObserveMic(i int, windowStart float64, dets []Detection, amps []float64) {
 	if i >= len(m.mics) || len(amps) == 0 {
 		return
 	}
-	min := amps[0]
-	for _, a := range amps[1:] {
+	t := m.mics[i]
+	t.obsMin = minOf(amps)
+	t.obsDetected = len(dets) > 0
+	t.observed = true
+}
+
+// minOf returns the smallest of a non-empty slice.
+func minOf(s []float64) float64 {
+	min := s[0]
+	for _, a := range s[1:] {
 		if a < min {
 			min = a
 		}
 	}
-	t := m.mics[i]
-	t.obsMin = min
-	t.obsDetected = len(dets) > 0
-	t.observed = true
+	return min
 }
 
 // floorFor returns the effective absolute detection threshold for
@@ -348,26 +348,21 @@ func (m *DeviceMonitor) floorFor(i int, def float64) float64 {
 	return def
 }
 
-// micQuarantined reports whether microphone i is quarantined (the
-// streaming path's skip test).
-func (m *DeviceMonitor) micQuarantined(i int) bool {
-	return i < len(m.mics) && m.mics[i].quarantined
-}
-
-// activeMics counts microphones currently in the fan-out.
-func (m *DeviceMonitor) activeMics() int {
-	n := 0
-	for _, t := range m.mics {
-		if !t.quarantined {
-			n++
-		}
-	}
-	return n
+// quarantined reports whether microphone i is out of the fleet's
+// fan-out.
+func (m *DeviceMonitor) quarantined(i int) bool {
+	return m.ctrl.fleet.IsQuarantined(i)
 }
 
 // MicsQuarantined counts microphones currently out of the fan-out.
 func (m *DeviceMonitor) MicsQuarantined() int {
-	return len(m.mics) - m.activeMics()
+	n := 0
+	for i := range m.mics {
+		if m.quarantined(i) {
+			n++
+		}
+	}
+	return n
 }
 
 // finishWindow folds one analysed window into the monitor on the
@@ -393,7 +388,7 @@ func (m *DeviceMonitor) finishWindow(from, to float64, dets []Detection) []Detec
 	anyDetected := len(dets) > 0
 
 	for i, t := range m.mics {
-		if t.quarantined {
+		if m.quarantined(i) {
 			m.probeQuarantined(i, t, from, to, anyDetected)
 			continue
 		}
@@ -408,10 +403,10 @@ func (m *DeviceMonitor) finishWindow(from, to float64, dets []Detection) []Detec
 		} else if anyDetected {
 			t.missStreak++
 		}
-		if t.missStreak >= m.DeafWindows && m.activeMics() > 1 {
+		if t.missStreak >= m.DeafWindows && len(m.mics)-m.MicsQuarantined() > 1 {
 			m.quarantine(i, t)
 		}
-		m.classifyMic(t)
+		m.classifyMic(i, t)
 	}
 
 	for _, t := range m.speakers {
@@ -500,15 +495,12 @@ func (m *DeviceMonitor) recalibrate(t *micTracker) {
 
 // quarantine drops microphone i from the fan-out.
 func (m *DeviceMonitor) quarantine(i int, t *micTracker) {
-	t.quarantined = true
+	m.ctrl.fleet.SetQuarantined(i, true)
 	t.missStreak = 0
 	t.probeHits = 0
-	if f := m.ctrl.fleet; f != nil {
-		f.SetQuarantined(i, true)
-	}
 	t.quarantines++
 	m.quarantines++
-	m.classifyMic(t)
+	m.classifyMic(i, t)
 }
 
 // probeQuarantined captures the quarantined microphone on the side
@@ -524,24 +516,15 @@ func (m *DeviceMonitor) probeQuarantined(i int, t *micTracker, from, to float64,
 	// capturer — the single-capturer contract holds.
 	m.probeBuf = t.mic.CaptureInto(m.probeBuf, from, to)
 	pd := m.probeDetector()
-	minAmp := pd.MinAmplitude
-	if t.floor > minAmp {
-		minAmp = t.floor
-	}
-	pdets, pamps := pd.DetectCalibrated(m.probeBuf, from, minAmp)
+	pamps := pd.windowAmplitudes(m.probeBuf)
 	if len(pamps) == 0 {
 		return
 	}
-	min := pamps[0]
-	for _, a := range pamps[1:] {
-		if a < min {
-			min = a
-		}
-	}
-	m.foldNoise(t, min)
+	pd.out = filterDetections(pd.out[:0], pamps, pd.watch, m.floorFor(i, pd.MinAmplitude), pd.RelativeFloor, from)
+	m.foldNoise(t, minOf(pamps))
 	m.recalibrate(t)
 	hit := false
-	for _, d := range pdets {
+	for _, d := range pd.out {
 		if _, ok := m.detected[d.Frequency]; ok {
 			hit = true
 			break
@@ -554,15 +537,12 @@ func (m *DeviceMonitor) probeQuarantined(i int, t *micTracker, from, to float64,
 		t.probeHits = 0
 	}
 	if t.probeHits >= m.RejoinHits {
-		t.quarantined = false
+		m.ctrl.fleet.SetQuarantined(i, false)
 		t.missStreak = 0
 		t.probeHits = 0
-		if f := m.ctrl.fleet; f != nil {
-			f.SetQuarantined(i, false)
-		}
 		t.rejoins++
 		m.rejoins++
-		m.classifyMic(t)
+		m.classifyMic(i, t)
 	}
 }
 
@@ -577,12 +557,12 @@ func (m *DeviceMonitor) probeDetector() *Detector {
 	return m.probeDet
 }
 
-// classifyMic rolls a microphone's flags into its state, counting
+// classifyMic rolls microphone i's flags into its state, counting
 // transitions.
-func (m *DeviceMonitor) classifyMic(t *micTracker) {
+func (m *DeviceMonitor) classifyMic(i int, t *micTracker) {
 	var s DeviceState
 	switch {
-	case t.quarantined:
+	case m.quarantined(i):
 		s = DeviceDeaf
 	case t.floor > 0:
 		s = DeviceDrifting
@@ -751,23 +731,23 @@ const (
 // that stays at the commanded frequencies retrains the fingerprint
 // level instead (an aging driver playing quieter is not a fault).
 func (m *DeviceMonitor) probeSpeaker(t *speakerTracker, from, to float64) probeVerdict {
-	var ref *micTracker
-	for _, mt := range m.mics {
-		if !mt.quarantined {
-			ref = mt
+	ref := -1
+	for i := range m.mics {
+		if !m.quarantined(i) {
+			ref = i
 			break
 		}
 	}
-	if ref == nil {
+	if ref < 0 {
 		return probeNothing
 	}
-	m.probeBuf = ref.mic.CaptureInto(m.probeBuf, from, to)
+	m.probeBuf = m.mics[ref].mic.CaptureInto(m.probeBuf, from, to)
 	buf := m.probeBuf
 	n := buf.Len()
 	if n == 0 {
 		return probeNothing
 	}
-	minAmp := m.floorFor(micIndex(m.mics, ref), m.ctrl.Detector.MinAmplitude)
+	minAmp := m.floorFor(ref, m.ctrl.Detector.MinAmplitude)
 	scale := 2 / float64(n)
 
 	// The commanded bins are the baseline the grid must beat: an
@@ -800,7 +780,7 @@ func (m *DeviceMonitor) probeSpeaker(t *speakerTracker, from, to float64) probeV
 		}
 	}
 	if bestAmp >= minAmp && bestAmp > m.TuneFactor*commanded {
-		m.rekeySpeaker(t, bestRatio, to)
+		m.rekeySpeaker(t, bestRatio)
 		return probeRekeyed
 	}
 	if commanded >= minAmp {
@@ -818,10 +798,10 @@ func (m *DeviceMonitor) probeSpeaker(t *speakerTracker, from, to float64) probeV
 }
 
 // rekeySpeaker installs a re-key: the controller watches each
-// commanded frequency shifted by ratio, detections there are rewritten
-// back before dispatch, and a running stream is restarted so its
-// watch-list snapshot includes the shifted frequencies.
-func (m *DeviceMonitor) rekeySpeaker(t *speakerTracker, ratio, now float64) {
+// commanded frequency shifted by ratio (the fleet picks the new list
+// up at the next window; a running stream's pipes rebuild in place and
+// re-prime), and detections there are rewritten back before dispatch.
+func (m *DeviceMonitor) rekeySpeaker(t *speakerTracker, ratio float64) {
 	t.shifted = t.shifted[:0]
 	for _, f := range t.freqs {
 		sh := f * ratio
@@ -834,7 +814,6 @@ func (m *DeviceMonitor) rekeySpeaker(t *speakerTracker, ratio, now float64) {
 	t.rekeys++
 	m.rekeys++
 	m.setSpeakerState(t, DeviceDetuned)
-	m.restartStream(now)
 }
 
 // healSpeaker retires an active re-key: the commanded frequency is
@@ -859,38 +838,15 @@ func (m *DeviceMonitor) setSpeakerState(t *speakerTracker, s DeviceState) {
 	}
 }
 
-// restartStream restarts a running streaming pipeline at time now so
-// its start-time watch snapshot picks up a re-key. The restarted
-// stream re-primes over one window (a warm-up the batch path does not
-// pay — the cost of the stream's snapshot design).
-func (m *DeviceMonitor) restartStream(now float64) {
-	st := m.ctrl.stream
-	if st == nil {
-		return
-	}
-	hop := st.Hop()
-	st.Stop()
-	m.ctrl.StartStream(now, hop)
-}
-
-func micIndex(mics []*micTracker, t *micTracker) int {
-	for i, mt := range mics {
-		if mt == t {
-			return i
-		}
-	}
-	return 0
-}
-
 // Snapshot returns every tracked device's health row, microphones in
 // fleet registration order first, then speakers in registration order
 // — a deterministic serialisation for reports.
 func (m *DeviceMonitor) Snapshot() []DeviceHealth {
 	out := make([]DeviceHealth, 0, len(m.mics)+len(m.speakers))
-	for _, t := range m.mics {
+	for i, t := range m.mics {
 		out = append(out, DeviceHealth{
 			Name: t.name, Kind: "mic", State: t.state.String(),
-			NoiseFloor: t.ewma, Floor: t.floor, Quarantined: t.quarantined,
+			NoiseFloor: t.ewma, Floor: t.floor, Quarantined: m.quarantined(i),
 			Transitions: t.transitions, Recalibrations: t.recalibrations,
 			Quarantines: t.quarantines, Rejoins: t.rejoins,
 		})

@@ -9,22 +9,30 @@ import (
 	"mdn/internal/telemetry"
 )
 
-// Fleet is the controller's many-switch listening engine: one
-// analysis window fanned out over N microphones on a fixed pool of
-// workers, each worker running its own Detector clone. The paper's
-// deployments are fleets — many switches emitting tones toward one
-// listening controller — and a single Detector cannot serve them
-// concurrently because its per-window scratch is reused (the DSP
-// plans underneath are shared and concurrency-safe; the scratch is
-// not). Cloning the detector per worker shares the plans and
-// duplicates only the scratch.
+// Fleet is the controller's window engine and its only fan-out: one
+// analysis window (or streaming hop) fanned out over N microphones on
+// a fixed pool of workers. Every controller owns one — a single
+// microphone is a serial fleet of one — and Controller.EnableFleet
+// resizes its pool. The paper's deployments are fleets — many
+// switches emitting tones toward one listening controller — and a
+// single Detector cannot serve them concurrently because its
+// per-window scratch is reused (the DSP plans underneath are shared
+// and concurrency-safe; the scratch is not). Cloning the detector per
+// worker shares the plans and duplicates only the scratch.
 //
-// Determinism contract: Analyse returns the same detection slice for
-// the same room state regardless of worker count or scheduling order.
-// Workers write into per-microphone result slots, and the merge step
-// runs after the barrier, ordering detections by (time, frequency)
-// with microphone registration order breaking exact ties — so
-// subscriber semantics are identical to a serial multi-microphone
+// Each microphone runs one per-microphone stage, after one of two
+// transforms: the batch transform (capture the window, run the
+// detector's Goertzel plan or FFT) for Analyse, or the microphone's
+// streaming pipe (capture ring → sliding Goertzel/STFT) for a
+// controller started with StartStream. Either way the stage applies
+// the detection floor, filters, and feeds the device monitor.
+//
+// Determinism contract: a fan-out returns the same detection slice
+// for the same room state regardless of worker count or scheduling
+// order. Workers write into per-microphone result slots, and the
+// merge step runs after the barrier, ordering detections by (time,
+// frequency) with microphone registration order breaking exact ties —
+// so subscriber semantics are identical to a serial multi-microphone
 // loop.
 //
 // A Fleet is driven from one goroutine (the simulation loop):
@@ -35,11 +43,24 @@ type Fleet struct {
 	workers  int
 
 	mics    []*acoustic.Microphone
-	dets    []*Detector     // one clone per worker
-	bufs    []*audio.Buffer // one capture buffer per worker
-	out     [][]Detection   // per-microphone results, reused
+	out     [][]Detection // per-microphone results, reused
+	pipes   []*streamPipe // per-microphone streaming pipes; nil until StartStream
+	geom    hopGeom       // streaming geometry, set by StartStream
 	merged  []Detection
 	sortTmp []Detection // merge-sort scratch, reserved with merged
+
+	// snap is the watch-list snapshot the fan-out runs under: one
+	// locked Clone of the template, retaken only when the template's
+	// watch revision moves. Every worker clone and every streaming
+	// transform is built from it, so a window publishes exactly the
+	// list it ran on; an AddWatch landing mid-window takes effect at
+	// the next one.
+	snap *Detector
+	dets []*Detector     // one clone of snap per worker
+	bufs []*audio.Buffer // one capture buffer per worker
+	// minAmp and relFloor are the template's thresholds, read at
+	// fan-out so a threshold change lands on the next window.
+	minAmp, relFloor float64
 
 	// mon, when set, receives each microphone's per-window amplitude
 	// estimates and supplies per-microphone detection floors (see
@@ -47,50 +68,31 @@ type Fleet struct {
 	mon *DeviceMonitor
 
 	// Quarantine state: quarMu guards the flags so SetQuarantined is
-	// safe from any goroutine; Analyse snapshots the active index list
-	// under the lock at fan-out, so mid-window flips land on the next
-	// window. Shard boundaries are a pure function of the ACTIVE
-	// microphone count, so the merge stays byte-identical at any worker
-	// count for a given quarantine set.
+	// safe from any goroutine; the fan-out snapshots the active index
+	// list under the lock, so mid-window flips land on the next window.
+	// Shard boundaries are a pure function of the ACTIVE microphone
+	// count, so the merge stays byte-identical at any worker count for
+	// a given quarantine set.
 	quarMu      sync.Mutex
 	quarantined []bool
 	active      []int
 	activeDirty bool
 
-	// Window bounds for the in-flight fan-out; written before tasks
-	// are sent, read by workers after receiving one (the channel send
-	// is the happens-before edge).
-	from, to float64
+	// The in-flight fan-out: its window bounds and transform; written
+	// before tasks are sent, read by workers after receiving one (the
+	// channel send is the happens-before edge).
+	from, to  float64
+	streaming bool
 
 	tasks   chan micShard
 	wg      sync.WaitGroup
 	started bool
 	closed  bool
 
-	// cloneRev is the template watch-list revision the worker clones
-	// were built from. Analyse snapshots the revision at fan-out and
-	// re-checks it at merge: if another goroutine added a watch
-	// frequency mid-window, the clones analysed a stale list, so the
-	// window is re-run (bounded by staleRetries) rather than silently
-	// published with the old watch set.
-	cloneRev uint64
-
-	// StaleWindows counts window analyses discarded and retried because
-	// the watch list changed between fan-out and merge.
-	StaleWindows uint64
-
 	busy   *telemetry.Gauge
 	window *telemetry.Histogram
-	stale  *telemetry.Counter
 	wall   telemetry.TimeSource
 }
-
-// staleRetries bounds how many times one window re-runs after a
-// mid-window watch-list edit. Edits are rare (human or control-plane
-// scale, versus the 20 Hz window loop), so in practice one retry
-// settles it; the bound only prevents a pathological editor looping
-// the analysis forever.
-const staleRetries = 3
 
 // NewFleet builds a fleet cloning template for each of workers pool
 // slots (workers <= 0 means GOMAXPROCS). The template stays live:
@@ -103,8 +105,14 @@ func NewFleet(template *Detector, workers int) *Fleet {
 	return &Fleet{template: template, workers: parallel.Workers(workers)}
 }
 
-// Workers returns the pool size.
-func (f *Fleet) Workers() int { return f.workers }
+// resize sets the pool size (workers <= 0 means GOMAXPROCS). A running
+// pool is stopped; the next parallel fan-out starts one of the new
+// size.
+func (f *Fleet) resize(workers int) {
+	f.Close()
+	f.closed = false
+	f.workers = parallel.Workers(workers)
+}
 
 // AddMicrophone registers one listening point. Call from the driving
 // goroutine only, not concurrently with Analyse.
@@ -114,6 +122,9 @@ func (f *Fleet) AddMicrophone(m *acoustic.Microphone) {
 	}
 	f.mics = append(f.mics, m)
 	f.out = append(f.out, nil)
+	if f.pipes != nil {
+		f.pipes = append(f.pipes, newStreamPipe(f, len(f.mics)-1))
+	}
 	f.quarMu.Lock()
 	f.quarantined = append(f.quarantined, false)
 	f.activeDirty = true
@@ -122,7 +133,7 @@ func (f *Fleet) AddMicrophone(m *acoustic.Microphone) {
 
 // SetQuarantined drops microphone i from (or readmits it to) the
 // fan-out. Safe from any goroutine; a flip during an in-flight window
-// takes effect at the next Analyse. Quarantined microphones are not
+// takes effect at the next fan-out. Quarantined microphones are not
 // captured by the fleet, so an out-of-band prober may capture them
 // without violating the single-capturer contract.
 func (f *Fleet) SetQuarantined(i int, q bool) {
@@ -145,7 +156,10 @@ func (f *Fleet) IsQuarantined(i int) bool {
 }
 
 // syncActive rebuilds the active-microphone index snapshot when the
-// quarantine set moved. Called at fan-out, before workers read it.
+// quarantine set moved. Called at fan-out, before workers read it. A
+// quarantined microphone's streaming pipe is reset as it leaves, so
+// it re-primes from the live edge when it re-enters the active list
+// instead of splicing pre-quarantine samples onto the current window.
 func (f *Fleet) syncActive() {
 	f.quarMu.Lock()
 	defer f.quarMu.Unlock()
@@ -156,6 +170,8 @@ func (f *Fleet) syncActive() {
 	for i, q := range f.quarantined {
 		if !q {
 			f.active = append(f.active, i)
+		} else if f.pipes != nil {
+			f.pipes[i].reset()
 		}
 	}
 	f.activeDirty = false
@@ -167,16 +183,43 @@ func (f *Fleet) syncActive() {
 func (f *Fleet) Instrument(reg *telemetry.Registry) {
 	f.busy = reg.Gauge(metricFleetBusy)
 	f.window = reg.Histogram(metricFleetWindow, telemetry.DefaultLatencyBuckets)
-	f.stale = reg.Counter(metricFleetStale)
 	f.wall = telemetry.Wall()
 }
 
-// Analyse captures and analyses [from, to) on every microphone,
-// fanning the work across the pool, and returns the merged detections
-// ordered by (time, frequency). The returned slice is scratch owned
-// by the fleet, valid until the next Analyse call — the same contract
-// as Detector.Detect. Steady-state calls allocate nothing.
+// Analyse captures and analyses [from, to) on every active
+// microphone through the batch transform, fanning the work across the
+// pool, and returns the merged detections ordered by (time,
+// frequency). The returned slice is scratch owned by the fleet, valid
+// until the next fan-out — the same contract as Detector.Detect.
+// Steady-state calls allocate nothing.
 func (f *Fleet) Analyse(from, to float64) []Detection {
+	f.streaming = false
+	return f.fanOut(from, to)
+}
+
+// hop advances every active microphone's streaming pipe over the hop
+// [from, to) and returns the merged detections of the windows that
+// completed. A capture behind the compaction horizon resets every
+// pipe, so the stream re-primes at the live edge, and returns the
+// error of the first failing microphone in registration order.
+func (f *Fleet) hop(from, to float64) ([]Detection, error) {
+	f.streaming = true
+	dets := f.fanOut(from, to)
+	for _, i := range f.active {
+		if err := f.pipes[i].err; err != nil {
+			for _, p := range f.pipes {
+				p.reset()
+			}
+			return nil, err
+		}
+	}
+	return dets, nil
+}
+
+// fanOut runs the in-flight transform and the per-microphone stage on
+// every active microphone — serially, or on the pool over shards of
+// the active list — and merges the result slots.
+func (f *Fleet) fanOut(from, to float64) []Detection {
 	if len(f.mics) == 0 {
 		return nil
 	}
@@ -185,44 +228,30 @@ func (f *Fleet) Analyse(from, to float64) []Detection {
 		return nil
 	}
 	sp := telemetry.StartSpan(f.window, f.wall)
-	for attempt := 0; ; attempt++ {
-		// Snapshot the watch revision the whole window will run under.
-		// Watch edits are serialized through the template's mutex, so a
-		// stable revision across fan-out and merge proves every clone
-		// analysed the same list the merge publishes.
-		rev := f.template.WatchRev()
-		f.syncClones(rev)
-		f.reserve()
-		f.from, f.to = from, to
-		if f.workers == 1 || len(f.active) == 1 {
-			// Serial reference path: same per-microphone work, same merge.
-			for _, i := range f.active {
-				f.analyseMic(0, i)
-			}
-		} else {
-			f.start()
-			shards := f.shards()
-			f.wg.Add(shards)
-			m := len(f.active)
-			base, ext := m/shards, m%shards
-			lo := 0
-			for s := 0; s < shards; s++ {
-				hi := lo + base
-				if s < ext {
-					hi++
-				}
-				f.tasks <- micShard{lo, hi}
-				lo = hi
-			}
-			f.wg.Wait()
+	f.syncSnapshot()
+	f.reserve()
+	f.from, f.to = from, to
+	if f.workers == 1 || len(f.active) == 1 {
+		// Serial reference path: same per-microphone work, same merge.
+		for _, i := range f.active {
+			f.analyseMic(0, i)
 		}
-		if f.template.WatchRev() == rev || attempt >= staleRetries {
-			break
+	} else {
+		f.start()
+		shards := f.shards()
+		f.wg.Add(shards)
+		m := len(f.active)
+		base, ext := m/shards, m%shards
+		lo := 0
+		for s := 0; s < shards; s++ {
+			hi := lo + base
+			if s < ext {
+				hi++
+			}
+			f.tasks <- micShard{lo, hi}
+			lo = hi
 		}
-		// The watch list moved under the window: per-microphone slots
-		// may mix old- and new-list results. Count it and re-run.
-		f.StaleWindows++
-		f.stale.Inc()
+		f.wg.Wait()
 	}
 	f.merged = f.merged[:0]
 	for _, i := range f.active {
@@ -247,31 +276,33 @@ func (f *Fleet) Close() {
 	}
 }
 
-// syncClones brings the per-worker detectors in line with the live
-// template: scalar thresholds are copied every window (they are four
-// assignments), the watch list only when its revision moved. rev is
-// the template revision snapshot the caller runs the window under.
-func (f *Fleet) syncClones(rev uint64) {
-	stale := len(f.dets) != f.workers || f.cloneRev != rev
-	if stale {
-		f.cloneRev = rev
+// syncSnapshot retakes the watch snapshot when the template's
+// revision moved, rebuilds the per-worker clones from it when the
+// snapshot or the pool size changed, and copies the template's scalar
+// settings for this window (a handful of assignments).
+func (f *Fleet) syncSnapshot() {
+	t := f.template
+	if f.snap == nil || f.snap.WatchRev() != t.WatchRev() {
+		f.snap = t.Clone()
+		f.dets = f.dets[:0]
+	}
+	if len(f.dets) != f.workers {
 		f.dets = f.dets[:0]
 		for w := 0; w < f.workers; w++ {
-			f.dets = append(f.dets, f.template.Clone())
+			f.dets = append(f.dets, f.snap.Clone())
 		}
 		for len(f.bufs) < f.workers {
 			f.bufs = append(f.bufs, nil)
 		}
 	}
+	f.minAmp, f.relFloor = t.MinAmplitude, t.RelativeFloor
 	for _, d := range f.dets {
-		d.Method = f.template.Method
-		d.MinAmplitude = f.template.MinAmplitude
-		d.ToleranceHz = f.template.ToleranceHz
-		d.RelativeFloor = f.template.RelativeFloor
+		d.Method = t.Method
+		d.ToleranceHz = t.ToleranceHz
 	}
 }
 
-// reserve grows the merge-path slices to their hard bound: a detector
+// reserve grows the merge-path slices to their hard bound: the filter
 // yields at most one detection per watched frequency, so one window
 // produces at most mics × watch detections. Reserving that up front
 // (re-checked per window, so watch-list growth is covered) means
@@ -279,7 +310,7 @@ func (f *Fleet) syncClones(rev uint64) {
 // amplitudes across the threshold — never triggers a mid-flight
 // growslice, keeping the steady state allocation-free.
 func (f *Fleet) reserve() {
-	per := f.template.WatchLen()
+	per := len(f.snap.watch)
 	bound := per * len(f.mics)
 	if cap(f.merged) < bound {
 		f.merged = make([]Detection, 0, bound)
@@ -304,7 +335,7 @@ func (f *Fleet) start() {
 	}
 	f.tasks = make(chan micShard)
 	for w := 0; w < f.workers; w++ {
-		go f.worker(w)
+		go f.worker(w, f.tasks)
 	}
 	f.started = true
 }
@@ -331,11 +362,12 @@ func (f *Fleet) shards() int {
 	return n
 }
 
-// worker processes microphone shards until the task channel closes.
+// worker processes microphone shards until its task channel closes.
 // Worker w owns dets[w] and bufs[w]; distinct shards cover disjoint
-// out[i] slots, so the only synchronisation needed is the WaitGroup.
-func (f *Fleet) worker(w int) {
-	for sh := range f.tasks {
+// microphones (result slots, pipes, monitor trackers), so the only
+// synchronisation needed is the WaitGroup.
+func (f *Fleet) worker(w int, tasks <-chan micShard) {
+	for sh := range tasks {
 		f.busy.Add(1)
 		for k := sh.lo; k < sh.hi; k++ {
 			f.analyseMic(w, f.active[k])
@@ -345,22 +377,34 @@ func (f *Fleet) worker(w int) {
 	}
 }
 
-// analyseMic captures one microphone's window with worker w's scratch
-// and stores the detections in the microphone's result slot. With a
-// device monitor attached, the detection threshold is the monitor's
-// recalibrated per-microphone floor and the amplitude estimates feed
-// its noise tracker (stored per microphone, folded after the barrier).
+// analyseMic runs microphone i's transform for the in-flight fan-out
+// with worker w's scratch — the streaming pipe's hop, or the batch
+// capture and Goertzel/FFT pass — and hands its amplitudes to the
+// per-microphone stage.
 func (f *Fleet) analyseMic(w, i int) {
-	f.bufs[w] = f.mics[i].CaptureInto(f.bufs[w], f.from, f.to)
-	if f.mon != nil {
-		minAmp := f.mon.floorFor(i, f.dets[w].MinAmplitude)
-		dets, amps := f.dets[w].DetectCalibrated(f.bufs[w], f.from, minAmp)
-		f.mon.ObserveMic(i, f.from, dets, amps)
-		f.out[i] = append(f.out[i][:0], dets...)
+	if f.streaming {
+		f.pipes[i].hop(f, i)
 		return
 	}
-	dets := f.dets[w].Detect(f.bufs[w], f.from)
-	f.out[i] = append(f.out[i][:0], dets...)
+	f.bufs[w] = f.mics[i].CaptureInto(f.bufs[w], f.from, f.to)
+	f.observe(i, f.from, f.dets[w].windowAmplitudes(f.bufs[w]))
+}
+
+// observe is the per-microphone stage, the one place a window's
+// per-watch amplitude estimates become detections: the detection
+// floor (the device monitor's recalibrated per-microphone floor when
+// one is attached), the absolute and relative threshold filter, and
+// the monitor's noise observation (stored per microphone, folded
+// after the barrier).
+func (f *Fleet) observe(i int, windowStart float64, amps []float64) {
+	minAmp := f.minAmp
+	if f.mon != nil {
+		minAmp = f.mon.floorFor(i, minAmp)
+	}
+	f.out[i] = filterDetections(f.out[i][:0], amps, f.snap.watch, minAmp, f.relFloor, windowStart)
+	if f.mon != nil {
+		f.mon.ObserveMic(i, windowStart, f.out[i], amps)
+	}
 }
 
 // sortDetections orders detections by (Time, Frequency), stable: exact

@@ -113,13 +113,11 @@ func (c *Controller) instrumentWire(w wireRef) {
 //
 // Fleet metric names:
 //
-//	mdn_fleet_workers_busy        workers currently capturing/analysing
-//	mdn_fleet_window_seconds      per-window fan-out wall time (all mics)
-//	mdn_fleet_stale_windows_total windows re-run after a mid-window watch edit
+//	mdn_fleet_workers_busy    workers currently capturing/analysing
+//	mdn_fleet_window_seconds  per-window (or per-hop) fan-out wall time (all mics)
 const (
 	metricFleetBusy   = "mdn_fleet_workers_busy"
 	metricFleetWindow = "mdn_fleet_window_seconds"
-	metricFleetStale  = "mdn_fleet_stale_windows_total"
 )
 
 // Streaming-path metric names (see StreamController.Instrument).

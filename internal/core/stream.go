@@ -11,44 +11,42 @@ import (
 	"mdn/internal/telemetry"
 )
 
-// StreamController is the controller's low-latency detection path: an
-// incremental pipeline that advances the analysis window by a hop —
-// a fraction of the window — instead of a whole window at a time, so
-// a watched tone is detected within one hop of its onset rather than
-// at the close of the window it lands in. The batch loop's worst case
-// is a full window of dead time before analysis even starts; both
-// teleorchestra papers (arXiv 1808.09399, 1809.07864) argue SDN+audio
-// control loops live or die on exactly this delay.
+// StreamController is the controller's low-latency detection path: it
+// advances the analysis window by a hop — a fraction of the window —
+// instead of a whole window at a time, so a watched tone is detected
+// within one hop of its onset rather than at the close of the window
+// it lands in. Both teleorchestra papers (arXiv 1808.09399,
+// 1809.07864) argue SDN+audio control loops live or die on exactly
+// this delay.
 //
-// Per microphone the pipeline is three stages coupled by an SPSC
-// queue:
+// Every microphone slot of the controller's Fleet holds a streaming
+// pipe, and the fleet's fan-out runs them — serially, or on its worker
+// pool over shards of the active list:
 //
 //	capture   — acoustic.CaptureRing renders only the new hop span
 //	            (the window-minus-hop overlap is saved, not re-mixed)
-//	            and publishes the hop frame to the queue;
+//	            and publishes the hop frame to an SPSC queue;
 //	transform — dsp.SlidingGoertzel (staggered resonator banks, no
 //	            sample retention) or dsp.OverlapSTFT (overlap-save
 //	            ring + cached FFT plan) consumes frames and emits one
-//	            full-window magnitude vector per hop;
-//	detect    — the shared threshold filter turns magnitudes into
-//	            Detections, merged across microphones and fanned out
-//	            through the batch controller's own subscriber list.
+//	            full-window amplitude vector per hop into the fleet's
+//	            per-microphone stage (floor, filter, device monitor)
+//	            and merge — the same stage and merge as the batch path.
 //
-// In the deterministic simulation all three stages run on the sim
-// goroutine — each hop pushes one frame and drains it immediately —
-// so results are reproducible; the SPSC coupling is what lets a real
-// deployment move capture onto its own producer thread without
-// restructuring (the queue is lock-free and allocation-free).
+// In the simulation each hop pushes one frame and drains it at once,
+// so results are reproducible; the lock-free, allocation-free queue is
+// what lets a real deployment move capture onto its own producer
+// thread without restructuring.
 //
 // Equivalence contract: at hop == window the streaming path is
 // bit-exact with the batch path — same capture spans (hence identical
 // samples, including the self-noise stream, which is seeded by the
 // window start), same per-window transform (the sliding kernels
 // reproduce their batch counterparts' float operations exactly), same
-// filter, same subscriber dispatch, same health and counter updates.
-// At hop < window the per-window spans differ by construction, so
-// equivalence is behavioural (same tones detected, sooner), not
-// bit-level.
+// per-microphone stage and merge, same subscriber dispatch, same
+// health and counter updates. At hop < window the per-window spans
+// differ by construction, so equivalence is behavioural (same tones
+// detected, sooner), not bit-level.
 //
 // On top of the per-window batches the stream runs an EdgeDedup over
 // the pre-threshold amplitudes: a tone straddling any number of hop
@@ -56,8 +54,9 @@ import (
 // mdn_stream_detect_latency_seconds histogram (sim-time latency from
 // the emission's arrival at the microphone to the firing hop close).
 //
-// A StreamController snapshots the detector's watch list when
-// started; frequencies added later need a restart to be heard.
+// A watch-list edit (an AddWatch, or a device re-key) rebuilds every
+// pipe's transform in place at the next hop; the rebuilt pipes
+// re-prime over one window, and the StreamController carries on.
 type StreamController struct {
 	// OnOnset, when set, receives each deduplicated tone onset: the
 	// first hop window in which the frequency's amplitude reached the
@@ -66,21 +65,14 @@ type StreamController struct {
 	// simulation goroutine, outside the supervision barrier.
 	OnOnset func(Detection)
 
-	ctrl    *Controller
-	hop     float64 // hop duration, seconds
-	window  float64 // analysis window, seconds (ctrl.Window at start)
-	hopN    int
-	windowN int
-	rate    float64
-	freqs   []float64 // watch-list snapshot at start
-	tol     float64   // ToleranceHz snapshot, for the latency probe
+	ctrl   *Controller
+	hop    float64 // hop duration, seconds
+	window float64 // analysis window, seconds (ctrl.Window at start)
 
-	pipes   []*streamPipe
-	merged  []Detection
-	sortTmp []Detection
-	peak    []float64 // per-frequency max amplitude across pipes, per hop
-	dedup   *EdgeDedup
-	ticker  *netsim.Ticker
+	snap   *Detector // the fleet watch snapshot peak and dedup are sized for
+	peak   []float64 // per-frequency max amplitude across pipes, per hop
+	dedup  *EdgeDedup
+	ticker *netsim.Ticker
 
 	// Hops counts processed hop steps; Onsets counts deduplicated tone
 	// onsets; CaptureErrors counts hops abandoned because the capture
@@ -92,28 +84,32 @@ type StreamController struct {
 	tm streamMetrics
 }
 
+// hopGeom is the streaming pipes' shared geometry.
+type hopGeom struct {
+	window  float64 // analysis window, seconds
+	rate    float64 // sample rate, Hz
+	windowN int
+	hopN    int
+}
+
 // streamPipe is one microphone's capture → transform lane. Exactly one
-// of sg/stft is set, by detection method.
+// of sg/stft is set, by detection method, once the pipe is built from
+// the fleet's watch snapshot.
 type streamPipe struct {
-	idx  int // microphone index (fleet order; 0 on the single-mic path)
 	ring *acoustic.CaptureRing
 	q    *parallel.SPSC[hopFrame]
 	pool [][]float64 // frame sample buffers, one per queue slot
 	seq  int
 
-	// skipped marks a pipe sitting out hops because its microphone is
-	// quarantined; on rejoin the pipe resets and re-primes from the
-	// live edge.
-	skipped bool
-
+	snap  *Detector // the watch snapshot the transform was built from
 	sg    *dsp.SlidingGoertzel
 	stft  *dsp.OverlapSTFT
 	emit  func(mags []float64) // preallocated SlidingGoertzel callback
 	curTo float64              // hop close of the frame being transformed
 
 	amps    []float64 // per-watch amplitude estimates of the last window
-	dets    []Detection
-	emitted bool // a full window completed this hop
+	emitted bool      // a full window completed this hop
+	err     error     // this hop's capture error, if any
 }
 
 // hopFrame is one captured hop span in flight between the capture and
@@ -140,15 +136,14 @@ const streamQueueCap = 4
 // Subscribers registered on the controller receive one batch per hop
 // (each covering the trailing full window) once the first window has
 // filled; the controller's counters and Health reflect the streamed
-// windows. Call Stop on the returned StreamController (or on the
-// controller) to halt.
+// windows. Every microphone of the controller's fleet is streamed.
+// Call Stop on the returned StreamController (or on the controller)
+// to halt.
 func (c *Controller) StartStream(at, hop float64) *StreamController {
 	rate := c.mic.Room().SampleRate
 	if err := CheckStreamHop(c.Window, rate, hop); err != nil {
 		panic(err.Error())
 	}
-	windowN := int(math.Round(c.Window * rate))
-	hopN := int(math.Round(hop * rate))
 	if c.ticker != nil {
 		c.ticker.Stop()
 		c.ticker = nil
@@ -156,39 +151,18 @@ func (c *Controller) StartStream(at, hop float64) *StreamController {
 	if c.stream != nil {
 		c.stream.Stop()
 	}
-	s := &StreamController{
-		ctrl:    c,
-		hop:     hop,
+	c.fleet.startStream(hopGeom{
 		window:  c.Window,
-		hopN:    hopN,
-		windowN: windowN,
 		rate:    rate,
-		freqs:   c.Detector.Watch(),
-		tol:     c.Detector.ToleranceHz,
-	}
-	mics := []*acoustic.Microphone{c.mic}
-	if c.fleet != nil {
-		// Fleet integration: stream every registered listening point,
-		// merging per-window detections in the fleet's order.
-		mics = c.fleet.mics
-	}
-	for i, m := range mics {
-		p := s.newPipe(m)
-		p.idx = i
-		s.pipes = append(s.pipes, p)
-	}
-	nf := len(s.freqs)
-	bound := nf * len(s.pipes)
-	s.merged = make([]Detection, 0, bound)
-	s.sortTmp = make([]Detection, bound)
-	s.peak = make([]float64, nf)
-	s.dedup = NewEdgeDedup(nf, c.Detector.MinAmplitude)
+		windowN: int(math.Round(c.Window * rate)),
+		hopN:    int(math.Round(hop * rate)),
+	})
+	s := &StreamController{ctrl: c, hop: hop, window: c.Window}
 	if c.tm.reg != nil {
 		s.Instrument(c.tm.reg)
 	}
 	c.stream = s
 	c.started = true
-	c.startAt = at
 	c.health.lastWindowEnd = at
 	s.ticker = c.sim.Every(at+hop, hop, func(now float64) {
 		s.step(now-s.hop, now)
@@ -220,60 +194,107 @@ func CheckStreamHop(window, sampleRate, hop float64) error {
 	return nil
 }
 
-// newPipe builds one microphone's capture → transform lane.
-func (s *StreamController) newPipe(m *acoustic.Microphone) *streamPipe {
+// startStream gives every microphone slot a fresh streaming pipe of
+// geometry g. Transforms are built from the watch snapshot at each
+// pipe's first hop.
+func (f *Fleet) startStream(g hopGeom) {
+	f.geom = g
+	f.pipes = f.pipes[:0]
+	for i := range f.mics {
+		f.pipes = append(f.pipes, newStreamPipe(f, i))
+	}
+}
+
+// newStreamPipe builds microphone i's capture lane.
+func newStreamPipe(f *Fleet, i int) *streamPipe {
 	p := &streamPipe{
-		ring: acoustic.NewCaptureRing(m, s.windowN),
+		ring: acoustic.NewCaptureRing(f.mics[i], f.geom.windowN),
 		q:    parallel.NewSPSC[hopFrame](streamQueueCap),
-		amps: make([]float64, len(s.freqs)),
-		dets: make([]Detection, 0, len(s.freqs)),
 	}
-	for i := 0; i < p.q.Cap(); i++ {
-		p.pool = append(p.pool, make([]float64, s.hopN))
+	for k := 0; k < p.q.Cap(); k++ {
+		p.pool = append(p.pool, make([]float64, f.geom.hopN))
 	}
-	if s.ctrl.Detector.Method == MethodFFT {
-		p.stft = dsp.NewOverlapSTFT(s.windowN)
-	} else {
-		p.sg = dsp.NewSlidingGoertzel(s.freqs, s.rate, s.windowN, s.hopN)
-		// Preallocated emission callback: built once so the per-hop
-		// transform stage creates no closures.
-		p.emit = func(mags []float64) {
-			scale := 2 / float64(s.windowN)
-			for i, m := range mags {
-				p.amps[i] = m * scale
-			}
-			p.finishWindow(s)
+	// Preallocated emission callback: built once so the per-hop
+	// transform stage creates no closures.
+	p.emit = func(mags []float64) {
+		scale := 2 / float64(f.geom.windowN)
+		for k, m := range mags {
+			p.amps[k] = m * scale
 		}
+		p.finishWindow(f, i)
 	}
 	return p
 }
 
-// step advances every pipe by one hop: capture, transform, merge,
-// dedup, dispatch. It runs on the simulation goroutine once per hop.
+// build (re)builds the pipe's transform from the fleet's watch
+// snapshot and re-primes it: a new pipe, or every pipe after the watch
+// list moved.
+func (p *streamPipe) build(f *Fleet) {
+	p.snap = f.snap
+	watch := f.snap.watch
+	p.amps = make([]float64, len(watch))
+	p.sg, p.stft = nil, nil
+	if f.snap.Method == MethodFFT {
+		p.stft = dsp.NewOverlapSTFT(f.geom.windowN)
+	} else {
+		p.sg = dsp.NewSlidingGoertzel(watch, f.geom.rate, f.geom.windowN, f.geom.hopN)
+	}
+	p.reset()
+}
+
+// hop is microphone i's streaming transform for the in-flight fan-out:
+// capture the hop, then advance the sliding transform; each completed
+// window goes through the fleet's per-microphone stage. A pipe that
+// completes no window leaves an empty result slot.
+func (p *streamPipe) hop(f *Fleet, i int) {
+	if p.snap != f.snap {
+		p.build(f)
+	}
+	p.emitted = false
+	f.out[i] = f.out[i][:0]
+	if p.err = p.capture(f.from, f.to); p.err != nil {
+		return
+	}
+	p.drain(f, i)
+}
+
+// step advances the stream by one hop: the fleet runs every active
+// pipe and merges their windows; the stream folds per-frequency peaks,
+// runs the onset dedup, and dispatches. It runs on the simulation
+// goroutine once per hop.
 func (s *StreamController) step(from, to float64) {
 	sp := telemetry.StartSpan(s.tm.hopWall, s.tm.wall)
 	s.Hops++
 	s.tm.hops.Inc()
-	for _, p := range s.pipes {
-		if s.skipPipe(p) {
-			continue
-		}
-		if err := p.capture(from, to); err != nil {
-			s.captureError(to, err)
-			sp.End()
-			return
-		}
+	f := s.ctrl.fleet
+	dets, err := f.hop(from, to)
+	if err != nil {
+		s.captureError(to, err)
+		sp.End()
+		return
+	}
+	if s.snap != f.snap {
+		// The watch list moved (or this is the first hop): the pipes
+		// re-primed, and the dedup starts over on the new list.
+		s.snap = f.snap
+		s.peak = make([]float64, len(f.snap.watch))
+		s.dedup = NewEdgeDedup(len(s.peak), f.minAmp)
 	}
 	emitted := false
 	for i := range s.peak {
 		s.peak[i] = 0
 	}
-	for _, p := range s.pipes {
-		if p.skipped {
+	for _, i := range f.active {
+		p := f.pipes[i]
+		if !p.emitted {
 			continue
 		}
-		p.drain(s)
-		emitted = emitted || p.emitted
+		emitted = true
+		for k, a := range p.amps {
+			if a > s.peak[k] {
+				s.peak[k] = a
+			}
+		}
 	}
 	if !emitted {
 		// Warm-up: the first window has not filled yet (hop < window
@@ -281,16 +302,6 @@ func (s *StreamController) step(from, to float64) {
 		sp.End()
 		return
 	}
-	s.merged = s.merged[:0]
-	for _, p := range s.pipes {
-		s.merged = append(s.merged, p.dets...)
-	}
-	sortDetections(s.merged, s.sortTmp)
-	dets := s.merged
-	if len(dets) == 0 {
-		dets = nil
-	}
-	winStart := to - s.window
 	// The dedup's attack level carries this window's relative floor —
 	// identical leakage rejection to the detection filter, so an onset
 	// can only fire for a frequency the filter would also report.
@@ -300,33 +311,9 @@ func (s *StreamController) step(from, to float64) {
 			maxPeak = a
 		}
 	}
-	s.dedup.Step(s.peak, s.ctrl.Detector.RelativeFloor*maxPeak, func(i int) { s.onset(to, i) })
-	s.ctrl.noteDetections(winStart, to, dets)
-	if r := s.ctrl.Retention; r > 0 {
-		s.pipes[0].ring.Mic().Room().CompactBefore(winStart - r)
-	}
+	s.dedup.Step(s.peak, f.relFloor*maxPeak, func(i int) { s.onset(to, i) })
+	s.ctrl.noteDetections(to-s.window, to, dets)
 	sp.End()
-}
-
-// skipPipe reports whether pipe p sits this hop out because its
-// microphone is quarantined by the device monitor. A rejoining pipe
-// resets first so it re-primes from the live edge instead of splicing
-// pre-quarantine samples onto the current window.
-func (s *StreamController) skipPipe(p *streamPipe) bool {
-	mon := s.ctrl.devmon
-	if mon != nil && mon.micQuarantined(p.idx) {
-		if !p.skipped {
-			p.skipped = true
-			p.dets = p.dets[:0]
-			p.emitted = false
-		}
-		return true
-	}
-	if p.skipped {
-		p.skipped = false
-		p.reset()
-	}
-	return false
 }
 
 // capture renders [from, to) into the pipe's ring and publishes the
@@ -352,9 +339,8 @@ func (p *streamPipe) capture(from, to float64) error {
 }
 
 // drain runs the transform stage: every queued hop frame advances the
-// sliding kernel, and each completed window lands in p.dets/p.amps.
-func (p *streamPipe) drain(s *StreamController) {
-	p.emitted = false
+// sliding kernel, and each completed window goes through finishWindow.
+func (p *streamPipe) drain(f *Fleet, i int) {
 	for {
 		fr, ok := p.q.TryPop()
 		if !ok {
@@ -370,32 +356,17 @@ func (p *streamPipe) drain(s *StreamController) {
 			continue
 		}
 		mags := p.stft.Spectrum(dsp.Hann)
-		fftAmplitudes(p.amps, mags, s.freqs, s.windowN, p.stft.FFTSize(), s.rate, s.tol)
-		p.finishWindow(s)
+		fftAmplitudes(p.amps, mags, p.snap.watch, f.geom.windowN, p.stft.FFTSize(), f.geom.rate, p.snap.ToleranceHz)
+		p.finishWindow(f, i)
 	}
 }
 
-// finishWindow filters one completed window's amplitude estimates into
-// detections (identical float operations to the batch filter) and
-// folds them into the stream's per-frequency amplitude peaks for the
-// onset dedup.
-func (p *streamPipe) finishWindow(s *StreamController) {
+// finishWindow hands one completed window's amplitude estimates to the
+// fleet's per-microphone stage (identical float operations to the
+// batch path).
+func (p *streamPipe) finishWindow(f *Fleet, i int) {
 	p.emitted = true
-	d := s.ctrl.Detector
-	winStart := p.curTo - s.window
-	minAmp := d.MinAmplitude
-	if mon := s.ctrl.devmon; mon != nil {
-		minAmp = mon.floorFor(p.idx, minAmp)
-	}
-	p.dets = filterDetections(p.dets[:0], p.amps, s.freqs, minAmp, d.RelativeFloor, winStart)
-	if mon := s.ctrl.devmon; mon != nil {
-		mon.ObserveMic(p.idx, winStart, p.dets, p.amps)
-	}
-	for i, a := range p.amps {
-		if a > s.peak[i] {
-			s.peak[i] = a
-		}
-	}
+	f.observe(i, p.curTo-f.geom.window, p.amps)
 }
 
 // onset handles one deduplicated rising edge at hop close time at:
@@ -405,7 +376,7 @@ func (p *streamPipe) finishWindow(s *StreamController) {
 func (s *StreamController) onset(at float64, i int) {
 	s.Onsets++
 	s.tm.onsets.Inc()
-	f := s.freqs[i]
+	f, tol := s.snap.watch[i], s.snap.ToleranceHz
 	// Latency attribution: the rising edge was produced by the window
 	// [at-window, at), so only an emission arriving inside it (plus one
 	// hop of slack) can be its cause. An onset with no such arrival —
@@ -413,7 +384,7 @@ func (s *StreamController) onset(at float64, i int) {
 	// re-armed long after the tone began — is counted but contributes
 	// no latency observation, because pairing it with a stale emission
 	// would poison the percentiles.
-	if arr, ok := s.pipes[0].ring.Mic().LatestArrivalBefore(f, s.tol, at); ok && at-arr <= s.window+s.hop {
+	if arr, ok := s.ctrl.mic.LatestArrivalBefore(f, tol, at); ok && at-arr <= s.window+s.hop {
 		s.tm.detectLatency.Observe(at - arr)
 	}
 	if s.OnOnset != nil {
@@ -422,26 +393,24 @@ func (s *StreamController) onset(at float64, i int) {
 }
 
 // captureError handles a hop whose span precedes the compaction
-// horizon: the error is counted and recorded, and the pipeline resets
-// so the stream re-primes cleanly at the live edge instead of
-// analysing a window with a hole in it.
+// horizon: the error is counted and recorded (the fleet has already
+// reset every pipe, so the stream re-primes cleanly at the live edge
+// instead of analysing a window with a hole in it).
 func (s *StreamController) captureError(now float64, err error) {
 	s.CaptureErrors++
 	s.tm.captureErrs.Inc()
 	s.ctrl.Errors.Record(now, "stream", err)
-	for _, p := range s.pipes {
-		p.reset()
-	}
 }
 
 // reset clears the pipe's ring, sliding kernel, and in-flight frames so
-// it re-primes cleanly — after a capture error, or when a quarantined
-// microphone rejoins.
+// it re-primes cleanly — after a capture error, a watch-list rebuild,
+// or when its quarantined microphone leaves the fan-out.
 func (p *streamPipe) reset() {
 	p.ring.Reset()
 	if p.sg != nil {
 		p.sg.Reset()
-	} else {
+	}
+	if p.stft != nil {
 		p.stft.Reset()
 	}
 	for {
@@ -465,10 +434,6 @@ func (s *StreamController) Stop() {
 
 // Hop returns the stream's hop in seconds.
 func (s *StreamController) Hop() float64 { return s.hop }
-
-// Freqs returns the watch-list snapshot the stream analyses (shared
-// slice; read-only).
-func (s *StreamController) Freqs() []float64 { return s.freqs }
 
 // streamMetrics is the stream's telemetry handle set; nil (and no-op)
 // until Instrument.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"mdn/internal/acoustic"
@@ -41,38 +42,47 @@ func recordWindows(ctrl *Controller) *[]windowRec {
 // contract: at hop == window the streaming pipeline must reproduce the
 // batch window loop's dispatched batches exactly — same window starts,
 // same detections, bit-identical amplitudes — for both detection
-// methods. Identical seeds give identical self-noise, so any float
-// difference anywhere in capture, transform, or filtering fails this.
+// methods and for the watch list in either order (same schedule).
+// Identical seeds give identical self-noise, so any float difference
+// anywhere in capture, transform, or filtering fails this.
 func TestStreamHopEqualsWindowBitExactWithBatch(t *testing.T) {
 	for _, method := range []Method{MethodGoertzel, MethodFFT} {
-		run := func(stream bool) []windowRec {
-			tb := newTestbed(42)
-			freqs := tb.plan.MustAllocate("s1", 2)
-			streamSchedule(tb, freqs)
-			ctrl := NewController(tb.sim, tb.mic, NewDetector(method, freqs))
-			recs := recordWindows(ctrl)
-			if stream {
-				ctrl.StartStream(0, ctrl.Window)
-			} else {
-				ctrl.Start(0)
+		for _, descending := range []bool{false, true} {
+			run := func(stream bool) []windowRec {
+				tb := newTestbed(42)
+				freqs := tb.plan.MustAllocate("s1", 2)
+				streamSchedule(tb, freqs)
+				watch := append([]float64(nil), freqs...)
+				sort.Float64s(watch)
+				if descending {
+					sort.Sort(sort.Reverse(sort.Float64Slice(watch)))
+				}
+				ctrl := NewController(tb.sim, tb.mic, NewDetector(method, watch))
+				recs := recordWindows(ctrl)
+				if stream {
+					ctrl.StartStream(0, ctrl.Window)
+				} else {
+					ctrl.Start(0)
+				}
+				tb.sim.RunUntil(0.6)
+				return *recs
 			}
-			tb.sim.RunUntil(0.6)
-			return *recs
-		}
-		batch, streamed := run(false), run(true)
-		if len(batch) == 0 || len(streamed) != len(batch) {
-			t.Fatalf("method %v: %d streamed windows vs %d batch", method, len(streamed), len(batch))
-		}
-		for i := range batch {
-			b, s := batch[i], streamed[i]
-			if b.from != s.from || len(b.dets) != len(s.dets) {
-				t.Fatalf("method %v window %d: stream (%g, %d dets) != batch (%g, %d dets)",
-					method, i, s.from, len(s.dets), b.from, len(b.dets))
+			batch, streamed := run(false), run(true)
+			if len(batch) == 0 || len(streamed) != len(batch) {
+				t.Fatalf("method %v descending=%v: %d streamed windows vs %d batch",
+					method, descending, len(streamed), len(batch))
 			}
-			for j := range b.dets {
-				if b.dets[j] != s.dets[j] {
-					t.Fatalf("method %v window %d det %d: stream %+v != batch %+v (not bit-exact)",
-						method, i, j, s.dets[j], b.dets[j])
+			for i := range batch {
+				b, s := batch[i], streamed[i]
+				if b.from != s.from || len(b.dets) != len(s.dets) {
+					t.Fatalf("method %v descending=%v window %d: stream (%g, %d dets) != batch (%g, %d dets)",
+						method, descending, i, s.from, len(s.dets), b.from, len(b.dets))
+				}
+				for j := range b.dets {
+					if b.dets[j] != s.dets[j] {
+						t.Fatalf("method %v descending=%v window %d det %d: stream %+v != batch %+v (not bit-exact)",
+							method, descending, i, j, s.dets[j], b.dets[j])
+					}
 				}
 			}
 		}

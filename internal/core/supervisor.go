@@ -100,13 +100,7 @@ func (c *Controller) invoke(s *subscriber, call subCall) {
 		}
 		s.consecutive = 0
 	}()
-	if c.ProfileSubscribers {
-		// The profiling path allocates (one closure per call) — it is
-		// an opt-in diagnostic, not a steady-state setting.
-		telemetry.Do("mdn_subscriber", s.name, func() { call.run(s) })
-	} else {
-		call.run(s)
-	}
+	call.run(s)
 }
 
 // snapshotSubs returns the subscriber list as seen under the

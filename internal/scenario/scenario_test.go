@@ -457,3 +457,39 @@ func TestValidateRejectsBadSpreadApp(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamScenarioCountsHopsThroughRekey streams the shipped
+// degrade.json at hop == window. Its detuned speaker is re-keyed
+// mid-run, and the report's stream section must keep counting through
+// the re-key: one hop per analysed window.
+func TestStreamScenarioCountsHopsThroughRekey(t *testing.T) {
+	f, err := os.Open("../../scenarios/degrade.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cfg, err := Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Stream = true
+	cfg.HopS = 0.050
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rekeys := uint64(0)
+	for _, d := range rep.Devices {
+		rekeys += d.Rekeys
+	}
+	if rekeys == 0 {
+		t.Fatalf("no re-key in the run; devices = %+v", rep.Devices)
+	}
+	if rep.Stream == nil || rep.Stream.Hops != rep.WindowsAnalysed {
+		t.Errorf("stream report %+v over %d analysed windows, want hops == windows",
+			rep.Stream, rep.WindowsAnalysed)
+	}
+}

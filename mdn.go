@@ -351,7 +351,8 @@ func NewProgrammer(ch *openflow.Channel, seed int64) *Programmer {
 // NewFleet builds a many-microphone analysis fleet cloning template
 // for each of workers pool slots (workers <= 0 means GOMAXPROCS,
 // workers == 1 is serial). The result is identical at any pool size;
-// Controller.EnableFleet wires one into a controller's window loop.
+// every Controller runs its windows through one (Controller.Fleet), and
+// Controller.EnableFleet sizes its pool.
 func NewFleet(template *Detector, workers int) *Fleet {
 	return core.NewFleet(template, workers)
 }
