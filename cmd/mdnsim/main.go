@@ -127,33 +127,31 @@ func run(o *options) {
 	if modes > 1 {
 		fatal(fmt.Errorf("-chaos, -modem and -traffic are mutually exclusive"))
 	}
-	if o.traffic {
-		runTrafficSweep(o.seed, o.flows, o.workers, o.jsonOut, o.metrics)
-		return
+	switch {
+	case o.traffic:
+		cfg := scenario.TrafficSweepConfig{Seed: o.seed, Workers: o.workers,
+			FlowCounts: parseList("traffic-flows", o.flows, strconv.Atoi)}
+		reg := telemetry.New()
+		rep := must(scenario.RunTrafficSweep(cfg, reg))
+		snap := reg.Snapshot()
+		emit(rep, &snap, o)
+	case o.modem:
+		cfg := scenario.ModemSweepConfig{Seed: o.seed, Workers: o.workers, StreamHop: o.streamHop(),
+			CorruptRates: parseList("modem-rates", o.modemRates, parseFloat),
+			FECs:         parseList("modem-fecs", o.modemFECs, func(s string) (string, error) { return s, nil })}
+		emit(must(scenario.RunModemSweep(cfg)), nil, o)
+	case o.chaos:
+		cfg := scenario.ChaosConfig{Seed: o.seed, DurationS: o.duration, Workers: o.workers, StreamHop: o.streamHop(),
+			DropRates: parseList("chaos-drops", o.drops, parseFloat)}
+		rep := must(scenario.RunChaos(cfg))
+		emit(rep, rep.Metrics, o)
+	default:
+		runScenario(o)
 	}
-	if o.modem {
-		streamHop := 0.0
-		if o.stream {
-			streamHop = o.hop
-			if streamHop == 0 {
-				streamHop = scenario.DefaultHopS
-			}
-		}
-		runModemSweep(o.seed, o.modemRates, o.modemFECs, streamHop, o.workers, o.jsonOut)
-		return
-	}
-	if o.chaos {
-		streamHop := 0.0
-		if o.stream {
-			streamHop = o.hop
-			if streamHop == 0 {
-				streamHop = scenario.DefaultHopS
-			}
-		}
-		runChaos(o.seed, o.drops, o.duration, streamHop, o.workers, o.jsonOut, o.metrics)
-		return
-	}
+}
 
+// runScenario runs the scenario file named by -f (stdin by default).
+func runScenario(o *options) {
 	var in io.Reader = os.Stdin
 	if o.file != "" {
 		f, err := os.Open(o.file)
@@ -163,10 +161,7 @@ func run(o *options) {
 		defer f.Close()
 		in = f
 	}
-	cfg, err := scenario.Load(in)
-	if err != nil {
-		fatal(err)
-	}
+	cfg := must(scenario.Load(in))
 	if o.stream {
 		cfg.Stream = true
 		if o.hop != 0 {
@@ -176,110 +171,72 @@ func run(o *options) {
 			fatal(err)
 		}
 	}
-	rep, err := scenario.Run(cfg)
-	if err != nil {
-		fatal(err)
-	}
+	rep := must(scenario.Run(cfg))
 	if o.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-		printMetrics(rep.Metrics, o.metrics)
-		return
+		writeJSON(rep)
+	} else {
+		printReport(rep)
 	}
-	printReport(rep)
 	printMetrics(rep.Metrics, o.metrics)
 }
 
-func runChaos(seed int64, drops string, duration, streamHop float64, workers int, jsonOut, metrics bool) {
-	cfg := scenario.ChaosConfig{Seed: seed, DurationS: duration, Workers: workers, StreamHop: streamHop}
-	if drops != "" {
-		for _, s := range strings.Split(drops, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil {
-				fatal(fmt.Errorf("parsing -chaos-drops: %w", err))
-			}
-			cfg.DropRates = append(cfg.DropRates, v)
-		}
+// streamHop resolves -stream and -hop into a sweep's stream hop; 0
+// selects the batch path.
+func (o *options) streamHop() float64 {
+	switch {
+	case !o.stream:
+		return 0
+	case o.hop == 0:
+		return scenario.DefaultHopS
 	}
-	rep, err := scenario.RunChaos(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-		printMetrics(rep.Metrics, metrics)
-		return
-	}
-	fmt.Print(rep.Table())
-	printMetrics(rep.Metrics, metrics)
+	return o.hop
 }
 
-func runModemSweep(seed int64, rates, fecs string, streamHop float64, workers int, jsonOut bool) {
-	cfg := scenario.ModemSweepConfig{Seed: seed, Workers: workers, StreamHop: streamHop}
-	if rates != "" {
-		for _, s := range strings.Split(rates, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil {
-				fatal(fmt.Errorf("parsing -modem-rates: %w", err))
-			}
-			cfg.CorruptRates = append(cfg.CorruptRates, v)
+// parseList parses a comma-separated flag value entry by entry; an
+// empty value leaves the sweep's default.
+func parseList[T any](name, value string, parse func(string) (T, error)) []T {
+	if value == "" {
+		return nil
+	}
+	var out []T
+	for _, s := range strings.Split(value, ",") {
+		v, err := parse(strings.TrimSpace(s))
+		if err != nil {
+			fatal(fmt.Errorf("parsing -%s: %w", name, err))
 		}
+		out = append(out, v)
 	}
-	if fecs != "" {
-		for _, s := range strings.Split(fecs, ",") {
-			cfg.FECs = append(cfg.FECs, strings.TrimSpace(s))
-		}
-	}
-	rep, err := scenario.RunModemSweep(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	fmt.Print(rep.Table())
+	return out
 }
 
-func runTrafficSweep(seed int64, flows string, workers int, jsonOut, metrics bool) {
-	cfg := scenario.TrafficSweepConfig{Seed: seed, Workers: workers}
-	if flows != "" {
-		for _, s := range strings.Split(flows, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fatal(fmt.Errorf("parsing -traffic-flows: %w", err))
-			}
-			cfg.FlowCounts = append(cfg.FlowCounts, v)
-		}
-	}
-	reg := telemetry.New()
-	rep, err := scenario.RunTrafficSweep(cfg, reg)
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+
+// must returns v, exiting through fatal on err.
+func must[T any](v T, err error) T {
 	if err != nil {
 		fatal(err)
 	}
-	snap := reg.Snapshot()
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-		printMetrics(&snap, metrics)
-		return
+	return v
+}
+
+// emit prints a sweep report as indented JSON (-json) or as its table,
+// then the telemetry dump (-metrics, when the sweep has one).
+func emit(rep interface{ Table() string }, snap *telemetry.Snapshot, o *options) {
+	if o.jsonOut {
+		writeJSON(rep)
+	} else {
+		fmt.Print(rep.Table())
 	}
-	fmt.Print(rep.Table())
-	printMetrics(&snap, metrics)
+	printMetrics(snap, o.metrics)
+}
+
+// writeJSON prints v as indented JSON.
+func writeJSON(v any) {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		fatal(err)
+	}
 }
 
 // printMetrics dumps the telemetry snapshot in Prometheus text format

@@ -115,9 +115,6 @@ func NewSketchFlowCounter(epsilon, delta float64, seed uint64) (*SketchFlowCount
 	return &SketchFlowCounter{cms: cms}, nil
 }
 
-// Sketch returns the underlying count-min sketch (for merging shards).
-func (s *SketchFlowCounter) Sketch() *sketch.CountMin { return s.cms }
-
 // Add implements FlowCounter.
 func (s *SketchFlowCounter) Add(key uint64, n uint64) { s.cms.Update(key, n) }
 
@@ -181,9 +178,6 @@ func NewSketchDistinctCounter(precision uint8, seed uint64) (*SketchDistinctCoun
 	}
 	return &SketchDistinctCounter{hll: hll}, nil
 }
-
-// Sketch returns the underlying HyperLogLog (for merging shards).
-func (s *SketchDistinctCounter) Sketch() *sketch.HyperLogLog { return s.hll }
 
 // Observe implements DistinctCounter.
 func (s *SketchDistinctCounter) Observe(key uint64) { s.hll.Add(key) }

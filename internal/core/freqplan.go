@@ -114,6 +114,12 @@ func (p *FrequencyPlan) AllocateSpaced(name string, n, stride int) ([]float64, e
 	if _, dup := p.sets[name]; dup {
 		return nil, fmt.Errorf("core: device %q already has a frequency set", name)
 	}
+	// n past the whole band cannot fit; rejecting it first keeps
+	// n*stride from overflowing.
+	if n > p.Capacity() {
+		return nil, fmt.Errorf("core: plan exhausted: %d tones requested, %d slots remaining",
+			n, p.Remaining())
+	}
 	need := n * stride
 	if p.nextSlot+need-stride+1 > p.Capacity() {
 		return nil, fmt.Errorf("core: plan exhausted: %d slots requested, %d remaining",

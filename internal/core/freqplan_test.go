@@ -51,6 +51,9 @@ func TestPlanRejectsDuplicatesAndExhaustion(t *testing.T) {
 	if _, err := p.Allocate("b", 0); err == nil {
 		t.Error("zero-size allocation should fail")
 	}
+	if _, err := p.AllocateSpaced("b", 1<<62, DefaultStride); err == nil {
+		t.Error("allocation whose slot count overflows should fail")
+	}
 	if _, err := p.Allocate("b", 2); err != nil {
 		t.Errorf("exact-fit allocation failed: %v", err)
 	}

@@ -141,9 +141,6 @@ func NewGoertzelPlan(freqs []float64, sampleRate float64) *GoertzelPlan {
 	return g
 }
 
-// Freqs returns the planned frequencies (shared slice; read-only).
-func (g *GoertzelPlan) Freqs() []float64 { return g.freqs }
-
 // MagnitudesInto runs every resonator over the block in one resonate
 // call and writes one magnitude per planned frequency into dst
 // (reusing its capacity). Results match Goertzel per frequency.

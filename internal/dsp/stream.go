@@ -95,9 +95,6 @@ func NewSlidingGoertzel(freqs []float64, sampleRate float64, windowN, hopN int) 
 	return s
 }
 
-// Freqs returns the planned frequencies (shared slice; read-only).
-func (s *SlidingGoertzel) Freqs() []float64 { return s.freqs }
-
 // Reset discards all resonator state and restarts the stagger: the
 // next sample fed to Process is sample zero of the first window.
 func (s *SlidingGoertzel) Reset() {

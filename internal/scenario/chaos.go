@@ -37,12 +37,6 @@ type ChaosConfig struct {
 	// DropRates are the message-drop probabilities to sweep
 	// (default 0, 0.1, 0.3, 0.5).
 	DropRates []float64 `json:"drop_rates,omitempty"`
-	// FlipProb and TruncProb add bit-flip and truncation corruption at
-	// every point (default 0).
-	FlipProb  float64 `json:"flip_prob,omitempty"`
-	TruncProb float64 `json:"trunc_prob,omitempty"`
-	// JitterMaxS adds up to this much extra one-way latency (default 0).
-	JitterMaxS float64 `json:"jitter_max_s,omitempty"`
 	// DurationS is the simulated length of each point (default 30).
 	DurationS float64 `json:"duration_s,omitempty"`
 	// Scenarios selects pipelines (default all of ChaosScenarioNames).
@@ -152,48 +146,28 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			return nil, fmt.Errorf("scenario: chaos drop rate %g outside [0, 1]", rate)
 		}
 	}
-	if err := checkGrid("chaos", len(names), len(drops)); err != nil {
+	if err := checkHop("stream_hop", cfg.StreamHop); err != nil {
 		return nil, err
 	}
-	if cfg.StreamHop > 0 {
-		if err := core.CheckStreamHop(core.DefaultWindow, 44100, cfg.StreamHop); err != nil {
-			return nil, fmt.Errorf("scenario: stream_hop: %w", err)
-		}
-	}
-	type gridCell struct{ si, ri int }
-	cells := make([]gridCell, 0, len(names)*len(drops))
-	for si := range names {
-		for ri := range drops {
-			cells = append(cells, gridCell{si, ri})
-		}
-	}
-	rep := &ChaosReport{Seed: cfg.Seed, DurationS: dur, Points: make([]ChaosPoint, len(cells))}
 	// One registry for the whole sweep, shared across workers: its
 	// get-or-create series are guarded internally and update with
 	// atomics, and the JSON report excludes the snapshot, so the
 	// byte-identity contract is untouched by telemetry interleaving.
 	reg := telemetry.New()
-	parallel.ForEach(len(cells), parallel.Workers(cfg.Workers), func(i int) {
-		c := cells[i]
-		faults := netsim.Faults{
-			DropProb:  drops[c.ri],
-			FlipProb:  cfg.FlipProb,
-			TruncProb: cfg.TruncProb,
-			JitterMax: cfg.JitterMaxS,
-			// Per-point stream derived from the grid position, never
-			// from execution order: same config, same faults. The seed
-			// is bit-mixed because math/rand's early draws are visibly
-			// correlated across sequential seeds.
-			Seed: gridSeed(cfg.Seed, c.si, c.ri),
-		}
-		pt := runs[c.si](reg, faults, dur, cfg.StreamHop)
-		pt.Scenario = names[c.si]
-		pt.DropRate = drops[c.ri]
-		if pt.GroundTruth > 0 {
-			pt.Recall = float64(pt.Detected) / float64(pt.GroundTruth)
-		}
-		rep.Points[i] = pt
-	})
+	points, err := sweepGrid("chaos", cfg.Seed, len(names), len(drops), cfg.Workers,
+		func(si, ri int, seed int64) ChaosPoint {
+			pt := runs[si](reg, netsim.Faults{DropProb: drops[ri], Seed: seed}, dur, cfg.StreamHop)
+			pt.Scenario = names[si]
+			pt.DropRate = drops[ri]
+			if pt.GroundTruth > 0 {
+				pt.Recall = float64(pt.Detected) / float64(pt.GroundTruth)
+			}
+			return pt
+		})
+	if err != nil {
+		return nil, err
+	}
+	rep := &ChaosReport{Seed: cfg.Seed, DurationS: dur, Points: points}
 	snap := reg.Snapshot()
 	rep.Metrics = &snap
 	return rep, nil
@@ -234,6 +208,23 @@ func checkGrid(sweep string, rows, cols int) error {
 // grid position, never from execution order.
 func gridSeed(seed int64, i, j int) int64 {
 	return mixSeed(seed*(gridStride*gridStride) + int64(i)*gridStride + int64(j))
+}
+
+// sweepGrid is the one fan-out of the two-dimensional sweeps. It
+// rejects a grid gridSeed cannot keep apart, then runs cell (i, j)
+// over workers goroutines (GOMAXPROCS when <= 0) into row-major slot
+// i*cols+j with seed gridSeed(seed, i, j). Every cell must own its
+// whole world; the result is then identical at every worker count.
+func sweepGrid[P any](sweep string, seed int64, rows, cols, workers int, cell func(i, j int, seed int64) P) ([]P, error) {
+	if err := checkGrid(sweep, rows, cols); err != nil {
+		return nil, err
+	}
+	out := make([]P, rows*cols)
+	parallel.ForEach(len(out), parallel.Workers(workers), func(k int) {
+		i, j := k/cols, k%cols
+		out[k] = cell(i, j, gridSeed(seed, i, j))
+	})
+	return out, nil
 }
 
 // mixSeed finalises a seed splitmix64-style. Sequential seeds fed

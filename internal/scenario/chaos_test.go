@@ -2,8 +2,13 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"mdn/internal/core"
 	"mdn/internal/telemetry"
@@ -384,6 +389,13 @@ func TestSweepRejectsSeedCollidingGrids(t *testing.T) {
 	if _, err := RunModemSweep(ModemSweepConfig{FECs: fecs}); err == nil {
 		t.Error("modem sweep with 101 FECs accepted")
 	}
+	flows := make([]int, trafficStride+1)
+	for i := range flows {
+		flows[i] = 1
+	}
+	if _, err := RunTrafficSweep(TrafficSweepConfig{FlowCounts: flows}, nil); err == nil {
+		t.Error("traffic sweep with 1001 flow counts accepted")
+	}
 
 	// Every grid that is accepted keeps the seeds it always had, and
 	// they are distinct cell by cell.
@@ -403,6 +415,85 @@ func TestSweepRejectsSeedCollidingGrids(t *testing.T) {
 			}
 			seen[got] = true
 		}
+	}
+}
+
+// TestSweepGridMatchesSerial checks the grid runner's contract once,
+// over seeded random grids and worker counts: every slot holds the
+// cell the serial run puts there, with its gridSeed, and no two cells
+// share a seed.
+func TestSweepGridMatchesSerial(t *testing.T) {
+	type cell struct {
+		i, j int
+		seed int64
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 40; trial++ {
+		rows, cols, workers := 1+rng.Intn(20), 1+rng.Intn(20), 1+rng.Intn(8)
+		seed := rng.Int63n(1 << 40)
+		run := func(workers int) []cell {
+			out, err := sweepGrid("test", seed, rows, cols, workers, func(i, j int, seed int64) cell {
+				return cell{i, j, seed}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		serial, pooled := run(1), run(workers)
+		seen := make(map[int64]bool, len(serial))
+		for k, c := range serial {
+			if c != (cell{k / cols, k % cols, gridSeed(seed, k/cols, k%cols)}) {
+				t.Fatalf("%d×%d seed %d: slot %d holds %+v", rows, cols, seed, k, c)
+			}
+			if pooled[k] != c {
+				t.Fatalf("%d×%d seed %d, %d workers: slot %d holds %+v, serial %+v",
+					rows, cols, seed, workers, k, pooled[k], c)
+			}
+			if seen[c.seed] {
+				t.Fatalf("%d×%d seed %d: slot %d repeats a seed", rows, cols, seed, k)
+			}
+			seen[c.seed] = true
+		}
+	}
+}
+
+// TestSweepAndScenarioLeaveNoGoroutines: a fleet sweep and a fleet
+// scenario, batch and streaming, return with every goroutine they
+// started stopped.
+func TestSweepAndScenarioLeaveNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		n := runtime.NumGoroutine()
+		for wait := 0; n > base && wait < 100; wait++ {
+			time.Sleep(10 * time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		if n > base {
+			t.Fatalf("%s: %d goroutines running, %d before", what, n, base)
+		}
+	}
+	if _, err := RunChaos(ChaosConfig{Seed: 7, DropRates: []float64{0}, DurationS: 8,
+		Scenarios: []string{"devicehealth"}, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	settled("chaos devicehealth")
+	for _, stream := range []bool{false, true} {
+		f, err := os.Open("../../scenarios/degrade.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := Load(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Stream = stream
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		settled(fmt.Sprintf("degrade.json stream=%v", stream))
 	}
 }
 

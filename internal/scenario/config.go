@@ -79,6 +79,19 @@ type Config struct {
 // a whole number of samples at 44.1 kHz — 441 per hop).
 const DefaultHopS = 0.010
 
+// checkHop rejects a positive stream hop that does not divide the
+// runner's 50 ms window at 44.1 kHz into whole samples; field names
+// the knob in the error. A hop <= 0 selects the batch path.
+func checkHop(field string, hop float64) error {
+	if hop <= 0 {
+		return nil
+	}
+	if err := core.CheckStreamHop(core.DefaultWindow, 44100, hop); err != nil {
+		return fmt.Errorf("scenario: %s: %w", field, err)
+	}
+	return nil
+}
+
 // FaultsConfig describes the injected wire faults of a chaos run.
 type FaultsConfig struct {
 	// DropProb is the probability a whole MP message is lost.
@@ -275,11 +288,8 @@ func (c *Config) Validate() error {
 	if c.HopS > 0 && !c.Stream {
 		return fmt.Errorf("scenario: hop_s requires stream")
 	}
-	if c.HopS > 0 {
-		// The runner deploys a 50 ms window at 44.1 kHz.
-		if err := core.CheckStreamHop(core.DefaultWindow, 44100, c.HopS); err != nil {
-			return fmt.Errorf("scenario: hop_s: %w", err)
-		}
+	if err := checkHop("hop_s", c.HopS); err != nil {
+		return err
 	}
 	if len(c.Switches) == 0 {
 		return fmt.Errorf("scenario: at least one switch required")
@@ -293,6 +303,18 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("scenario: duplicate switch %q", s.Name)
 		}
 		switches[s.Name] = true
+	}
+	// Each switch port takes one cable: a host's, or one end of a link.
+	type switchPort struct {
+		sw   string
+		port int
+	}
+	cabled := map[switchPort]bool{}
+	plug := func(sw string, port int) bool {
+		p := switchPort{sw, port}
+		free := !cabled[p]
+		cabled[p] = true
+		return free
 	}
 	hosts := map[string]bool{}
 	for _, h := range c.Hosts {
@@ -309,15 +331,26 @@ func (c *Config) Validate() error {
 		if _, err := netip.ParseAddr(h.Addr); err != nil {
 			return fmt.Errorf("scenario: host %q address: %w", h.Name, err)
 		}
+		if !plug(h.Switch, h.Port) {
+			return fmt.Errorf("scenario: host %q reuses switch %q port %d", h.Name, h.Switch, h.Port)
+		}
 	}
 	for _, l := range c.Links {
 		if !switches[l.A] || !switches[l.B] {
 			return fmt.Errorf("scenario: link %s<->%s references unknown switch", l.A, l.B)
 		}
+		if !plug(l.A, l.APort) || !plug(l.B, l.BPort) {
+			return fmt.Errorf("scenario: link %s<->%s reuses a connected switch port", l.A, l.B)
+		}
 	}
 	for _, r := range c.Rules {
 		if !switches[r.Switch] {
 			return fmt.Errorf("scenario: rule references unknown switch %q", r.Switch)
+		}
+		if r.Dst != "" {
+			if _, err := netip.ParseAddr(r.Dst); err != nil {
+				return fmt.Errorf("scenario: rule on %q dst: %w", r.Switch, err)
+			}
 		}
 		switch r.Action {
 		case "output", "split", "hashsplit":

@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"mdn/internal/acoustic"
-	"mdn/internal/core"
 	"mdn/internal/modem"
-	"mdn/internal/mp"
 	"mdn/internal/netsim"
-	"mdn/internal/parallel"
 	"mdn/internal/telemetry"
 )
 
@@ -157,60 +153,41 @@ func RunModemSweep(cfg ModemSweepConfig) (*ModemSweepReport, error) {
 			return nil, fmt.Errorf("scenario: modem corrupt rate %g outside [0, 1]", r)
 		}
 	}
-	if err := checkGrid("modem", len(fecs), len(rates)); err != nil {
+	if err := checkHop("stream_hop", cfg.StreamHop); err != nil {
 		return nil, err
 	}
-	if cfg.StreamHop > 0 {
-		if err := core.CheckStreamHop(core.DefaultWindow, 44100, cfg.StreamHop); err != nil {
-			return nil, fmt.Errorf("scenario: stream_hop: %w", err)
-		}
+	// The points' telemetry has no reader: the report carries none.
+	reg := telemetry.New()
+	points, err := sweepGrid("modem", cfg.Seed, len(fecs), len(rates), cfg.Workers,
+		func(fi, ri int, seed int64) ModemSweepPoint {
+			pt := runModemPoint(reg, schemes[fi], rates[ri], frames, size, seed, cfg.StreamHop)
+			pt.FEC = fecs[fi]
+			pt.CorruptRate = rates[ri]
+			return pt
+		})
+	if err != nil {
+		return nil, err
 	}
-
-	type gridCell struct{ fi, ri int }
-	cells := make([]gridCell, 0, len(fecs)*len(rates))
-	for fi := range fecs {
-		for ri := range rates {
-			cells = append(cells, gridCell{fi, ri})
-		}
-	}
-	rep := &ModemSweepReport{Seed: cfg.Seed, Points: make([]ModemSweepPoint, len(cells))}
-	parallel.ForEach(len(cells), parallel.Workers(cfg.Workers), func(i int) {
-		c := cells[i]
-		seed := gridSeed(cfg.Seed, c.fi, c.ri)
-		rep.Points[i] = runModemPoint(schemes[c.fi], rates[c.ri], frames, size, seed, cfg.StreamHop)
-		rep.Points[i].FEC = fecs[c.fi]
-		rep.Points[i].CorruptRate = rates[c.ri]
-	})
-	return rep, nil
+	return &ModemSweepReport{Seed: cfg.Seed, Points: points}, nil
 }
 
-// runModemPoint measures one (FEC, corruption rate) cell on a clean
-// wire: the corruptor attacks payload symbols at schedule time.
-func runModemPoint(fec modem.FEC, rate float64, frames, size int, seed int64, streamHop float64) ModemSweepPoint {
-	sim := netsim.NewSim()
-	room := acoustic.NewRoom(44100, seed)
-	room.CullThreshold = acoustic.CullAuto
-	mic := room.AddMicrophone("controller", acoustic.Position{}, 0.0005)
-	sp := room.AddSpeaker("s1", acoustic.Position{X: 1})
-	voice := core.NewVoice(sim, mp.NewSounder(mp.NewPi(sim, sp, 0.002)))
-
+// runModemPoint measures one (FEC, corruption rate) cell in the chaos
+// testbed on a clean wire: the corruptor attacks payload symbols at
+// schedule time.
+func runModemPoint(reg *telemetry.Registry, fec modem.FEC, rate float64, frames, size int, seed int64, streamHop float64) ModemSweepPoint {
+	e := newChaosEnv(reg, netsim.Faults{Seed: seed}, streamHop)
 	mcfg := modem.DefaultConfig()
 	mcfg.FEC = fec
 	band, err := modem.NewBand(modem.Plan(mcfg), "s1", mcfg)
 	if err != nil {
 		return ModemSweepPoint{}
 	}
-	ctrl := core.NewController(sim, mic, core.NewDetector(core.MethodGoertzel, band.Frequencies()))
-	ctrl.Retention = 2
-	tx := modem.NewTransmitter(sim, band, voice)
+	e.ctrl.Detector.AddWatch(band.Frequencies()...)
+	tx := modem.NewTransmitter(e.sim, band, e.voice)
 	tx.Corruptor = modem.NewCorruptor(rate, seed+1)
 	rx := modem.NewReceiver(band)
-	ctrl.SubscribeWindows(rx.HandleWindow)
-	if streamHop > 0 {
-		ctrl.StartStream(0, streamHop)
-	} else {
-		ctrl.Start(0)
-	}
+	e.ctrl.SubscribeWindows(rx.HandleWindow)
+	e.start()
 
 	payload := make([]byte, size)
 	for i := range payload {
@@ -224,7 +201,7 @@ func runModemPoint(fec modem.FEC, rate float64, frames, size int, seed int64, st
 		}
 		at = end
 	}
-	sim.RunUntil(at + 0.5)
+	e.sim.RunUntil(at + 0.5)
 
 	pt := ModemSweepPoint{
 		FramesTx:         tx.FramesTx,

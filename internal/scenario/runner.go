@@ -27,6 +27,13 @@ func sketchPrecision(ac AppConfig) uint8 {
 	return uint8(ac.SketchPrecision)
 }
 
+// switchApp is a deployed application bound to one switch; one that
+// inspects that switch's packets also has a Tap.
+type switchApp interface {
+	core.App
+	Instrument(reg *telemetry.Registry, switchName string)
+}
+
 // Report is what a scenario run produces.
 type Report struct {
 	// Name echoes the scenario name.
@@ -214,6 +221,7 @@ func Run(c *Config) (*Report, error) {
 		// Per-app deterministic sketch seed: scenario seed plus the
 		// app's position, so two sketch apps never share hash streams.
 		sketchSeed := uint64(c.Seed)*0x9e3779b97f4a7c15 + uint64(appIdx) + 1
+		var app switchApp
 		switch ac.Type {
 		case "heavyhitter":
 			hh, err := core.NewHeavyHitter(plan, ac.Switch, voice, ac.Buckets)
@@ -232,13 +240,7 @@ func Run(c *Config) (*Report, error) {
 				}
 				hh.SetFlowCounter(fc)
 			}
-			if err := mgr.Deploy(hh); err != nil {
-				return nil, err
-			}
-			hh.Instrument(reg, ac.Switch)
-			taps[ac.Switch] = append(taps[ac.Switch], hh.Tap)
-			switchFreqs[ac.Switch] = append(switchFreqs[ac.Switch], hh.Frequencies()...)
-			apps = append(apps, deployed{ac, hh})
+			app = hh
 		case "portscan":
 			ps, err := core.NewPortScan(plan, ac.Switch, voice, ac.FirstPort, ac.NumPorts)
 			if err != nil {
@@ -254,25 +256,14 @@ func Run(c *Config) (*Report, error) {
 				}
 				ps.SetDistinctCounter(dc)
 			}
-			if err := mgr.Deploy(ps); err != nil {
-				return nil, err
-			}
-			ps.Instrument(reg, ac.Switch)
-			taps[ac.Switch] = append(taps[ac.Switch], ps.Tap)
-			switchFreqs[ac.Switch] = append(switchFreqs[ac.Switch], ps.Frequencies()...)
-			apps = append(apps, deployed{ac, ps})
+			app = ps
 		case "queuemon":
 			qm, err := core.NewQueueMonitor(plan, sws[ac.Switch], ac.Port, voice)
 			if err != nil {
 				return nil, err
 			}
-			if err := mgr.Deploy(qm); err != nil {
-				return nil, err
-			}
-			qm.Instrument(reg, ac.Switch)
 			qm.StartSwitchSide(sim, 0.05)
-			switchFreqs[ac.Switch] = append(switchFreqs[ac.Switch], qm.Frequencies()...)
-			apps = append(apps, deployed{ac, qm})
+			app = qm
 		case "ddos", "superspreader":
 			mode := core.ModeDDoSVictim
 			if ac.Type == "superspreader" {
@@ -294,13 +285,7 @@ func Run(c *Config) (*Report, error) {
 				}
 				sd.SetDistinctCounter(dc)
 			}
-			if err := mgr.Deploy(sd); err != nil {
-				return nil, err
-			}
-			sd.Instrument(reg, ac.Switch)
-			taps[ac.Switch] = append(taps[ac.Switch], sd.Tap)
-			switchFreqs[ac.Switch] = append(switchFreqs[ac.Switch], sd.Frequencies()...)
-			apps = append(apps, deployed{ac, sd})
+			app = sd
 		case "heartbeat":
 			f, err := hb.Register(plan, ac.Switch, voice)
 			if err != nil {
@@ -314,7 +299,17 @@ func Run(c *Config) (*Report, error) {
 			}
 			switchFreqs[ac.Switch] = append(switchFreqs[ac.Switch], f)
 			hbUsed = true
+			continue
 		}
+		if err := mgr.Deploy(app); err != nil {
+			return nil, err
+		}
+		app.Instrument(reg, ac.Switch)
+		if t, ok := app.(interface{ Tap(*netsim.Packet, int) }); ok {
+			taps[ac.Switch] = append(taps[ac.Switch], t.Tap)
+		}
+		switchFreqs[ac.Switch] = append(switchFreqs[ac.Switch], app.Frequencies()...)
+		apps = append(apps, deployed{ac, app})
 	}
 	if hbUsed {
 		if err := mgr.Deploy(hb); err != nil {

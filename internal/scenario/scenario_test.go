@@ -122,6 +122,10 @@ func TestValidateRejects(t *testing.T) {
 		"traffic bad time": `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1}],"traffic":[{"type":"cbr","from":"h","to":"h","pps":1,"start_s":2,"stop_s":1}]}`,
 		"traffic no pps":   `{"duration_s":1,"switches":[{"name":"s"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1}],"traffic":[{"type":"cbr","from":"h","to":"h","start_s":0,"stop_s":1}]}`,
 		"bad noise":        `{"duration_s":1,"switches":[{"name":"s"}],"noise":[{"type":"thunder"}]}`,
+		"rule bad dst":     `{"duration_s":1,"switches":[{"name":"s"}],"rules":[{"switch":"s","dst":"not-an-ip","action":"drop"}]}`,
+		"dup host port":    `{"duration_s":1,"switches":[{"name":"s1"}],"hosts":[{"name":"0","addr":"10.0.0.0","switch":"s1"},{"name":"1","addr":"10.0.0.0","switch":"s1"}]}`,
+		"link on host":     `{"duration_s":1,"switches":[{"name":"s"},{"name":"t"}],"hosts":[{"name":"h","addr":"10.0.0.1","switch":"s","port":1}],"links":[{"a":"s","a_port":1,"b":"t","b_port":1}]}`,
+		"link port twice":  `{"duration_s":1,"switches":[{"name":"s"},{"name":"t"}],"links":[{"a":"s","a_port":1,"b":"t","b_port":1},{"a":"t","a_port":2,"b":"s","b_port":1}]}`,
 	}
 	for name, js := range cases {
 		if _, err := Load(strings.NewReader(js)); err == nil {

@@ -27,24 +27,33 @@ type TrafficSweepConfig struct {
 	// FlowCounts are the population sizes to sweep (default 10^4,
 	// 10^5, 10^6).
 	FlowCounts []int `json:"flow_counts,omitempty"`
-	// DurationS is the simulated emission window per point (default 1).
-	DurationS float64 `json:"duration_s,omitempty"`
-	// Epsilon and Delta are the count-min error knobs (defaults 1e-4
-	// and 0.01: overestimates exceed eps*packets with prob. < 1%).
-	Epsilon float64 `json:"epsilon,omitempty"`
-	Delta   float64 `json:"delta,omitempty"`
-	// Precision is the HyperLogLog precision (default 14: ~0.8%
-	// standard error).
-	Precision int `json:"precision,omitempty"`
-	// TopK is the space-saving capacity (default 2048).
-	TopK int `json:"top_k,omitempty"`
-	// HeavyFrac defines a heavy hitter: a flow carrying at least this
-	// fraction of all packets (default 0.001).
-	HeavyFrac float64 `json:"heavy_frac,omitempty"`
 	// Workers bounds the sweep's worker pool (<= 0 means GOMAXPROCS).
 	// The report is byte-identical at every worker count.
 	Workers int `json:"workers,omitempty"`
 }
+
+// The traffic sweep's fixed measurement settings, echoed in every
+// report.
+const (
+	// trafficDurationS is the simulated emission window per point.
+	trafficDurationS = 1.0
+	// trafficEpsilon and trafficDelta are the count-min error knobs:
+	// overestimates exceed eps*packets with probability < 1%.
+	trafficEpsilon = 1e-4
+	trafficDelta   = 0.01
+	// trafficPrecision is the HyperLogLog precision (~0.8% standard
+	// error).
+	trafficPrecision = 14
+	// trafficTopK is the space-saving capacity.
+	trafficTopK = 2048
+	// trafficHeavyFrac defines a heavy hitter: a flow carrying at least
+	// this fraction of all packets.
+	trafficHeavyFrac = 0.001
+	// trafficStride bounds the flow counts per sweep: entry i is seeded
+	// from seed*trafficStride + i, so entry trafficStride would share
+	// entry 0's seed in the sweep seeded one higher.
+	trafficStride = 1000
+)
 
 // TrafficSweepPoint is one flow-count measurement. Every field is a
 // deterministic function of the seed and the grid position — wall
@@ -112,46 +121,17 @@ func RunTrafficSweep(cfg TrafficSweepConfig, reg *telemetry.Registry) (*TrafficS
 	if len(counts) == 0 {
 		counts = []int{10_000, 100_000, 1_000_000}
 	}
+	if len(counts) > trafficStride {
+		return nil, fmt.Errorf("scenario: traffic sweep of %d flow counts exceeds %d", len(counts), trafficStride)
+	}
 	for _, n := range counts {
 		if n <= 0 {
 			return nil, fmt.Errorf("scenario: traffic sweep flow count %d must be positive", n)
 		}
 	}
-	dur := cfg.DurationS
-	if dur <= 0 {
-		dur = 1.0
-	}
-	eps := cfg.Epsilon
-	if eps == 0 {
-		eps = 1e-4
-	}
-	delta := cfg.Delta
-	if delta == 0 {
-		delta = 0.01
-	}
-	prec := cfg.Precision
-	if prec == 0 {
-		prec = 14
-	}
-	topK := cfg.TopK
-	if topK == 0 {
-		topK = 2048
-	}
-	heavyFrac := cfg.HeavyFrac
-	if heavyFrac == 0 {
-		heavyFrac = 0.001
-	}
-	if _, err := sketch.NewCountMin(eps, delta, 1); err != nil {
-		return nil, fmt.Errorf("scenario: traffic sweep: %w", err)
-	}
-	if prec < int(sketch.MinPrecision) || prec > int(sketch.MaxPrecision) {
-		return nil, fmt.Errorf("scenario: traffic sweep precision %d outside [%d, %d]",
-			prec, sketch.MinPrecision, sketch.MaxPrecision)
-	}
-
 	rep := &TrafficSweepReport{
-		Seed: cfg.Seed, DurationS: dur, Epsilon: eps, Delta: delta,
-		Precision: prec, TopK: topK, HeavyFrac: heavyFrac,
+		Seed: cfg.Seed, DurationS: trafficDurationS, Epsilon: trafficEpsilon, Delta: trafficDelta,
+		Precision: trafficPrecision, TopK: trafficTopK, HeavyFrac: trafficHeavyFrac,
 		Points: make([]TrafficSweepPoint, len(counts)),
 	}
 	var errHist *telemetry.Histogram
@@ -160,8 +140,7 @@ func RunTrafficSweep(cfg TrafficSweepConfig, reg *telemetry.Registry) (*TrafficS
 	}
 	start := time.Now()
 	parallel.ForEach(len(counts), parallel.Workers(cfg.Workers), func(i int) {
-		seed := mixSeed(cfg.Seed*1000 + int64(i))
-		rep.Points[i] = runTrafficPoint(counts[i], dur, eps, delta, uint8(prec), topK, heavyFrac, seed, errHist)
+		rep.Points[i] = runTrafficPoint(counts[i], mixSeed(cfg.Seed*trafficStride+int64(i)), errHist)
 	})
 	if reg != nil {
 		var totalPackets, totalEvents uint64
@@ -223,7 +202,7 @@ func flowKey(f *netsim.FiveTuple) uint64 {
 
 // runTrafficPoint drives one flow population through the pooled engine
 // with the exact oracle and the sketch stack tapping the same stream.
-func runTrafficPoint(flows int, dur, eps, delta float64, prec uint8, topK int, heavyFrac float64, seed int64, errHist *telemetry.Histogram) TrafficSweepPoint {
+func runTrafficPoint(flows int, seed int64, errHist *telemetry.Histogram) TrafficSweepPoint {
 	sim := netsim.NewSim()
 	sim.EnablePacketPool()
 	h1 := netsim.NewHost(sim, "h1", netsim.MustAddr("10.255.255.253"))
@@ -234,10 +213,10 @@ func runTrafficPoint(flows int, dur, eps, delta float64, prec uint8, topK int, h
 	sw.InstallRule(netsim.Rule{Match: netsim.Match{Dst: h2.Addr}, Action: netsim.Output(2)})
 
 	exact := core.NewExactFlowCounter()
-	cms, _ := sketch.NewCountMin(eps, delta, uint64(seed))
+	cms, _ := sketch.NewCountMin(trafficEpsilon, trafficDelta, uint64(seed))
 	cms.Conservative = true
-	hll, _ := sketch.NewHyperLogLog(prec, uint64(seed))
-	tk, _ := sketch.NewTopK(topK)
+	hll, _ := sketch.NewHyperLogLog(trafficPrecision, uint64(seed))
+	tk, _ := sketch.NewTopK(trafficTopK)
 	sw.Tap = func(pkt *netsim.Packet, _ int) {
 		key := flowKey(&pkt.Flow)
 		exact.Add(key, 1)
@@ -247,10 +226,10 @@ func runTrafficPoint(flows int, dur, eps, delta float64, prec uint8, topK int, h
 	}
 
 	fs := netsim.StartFlowSet(sim, h1, netsim.FlowSetConfig{
-		Specs: trafficFlowSpecs(flows, dur),
-		Start: 0, Stop: dur, Seed: seed,
+		Specs: trafficFlowSpecs(flows, trafficDurationS),
+		Start: 0, Stop: trafficDurationS, Seed: seed,
 	})
-	sim.RunUntil(dur + 1)
+	sim.RunUntil(trafficDurationS + 1)
 
 	pt := TrafficSweepPoint{
 		Flows:         flows,
@@ -267,7 +246,7 @@ func runTrafficPoint(flows int, dur, eps, delta float64, prec uint8, topK int, h
 	}
 
 	// Ground truth: flows at or above the heavy threshold.
-	thresh := uint64(math.Ceil(heavyFrac * float64(pt.Packets)))
+	thresh := uint64(math.Ceil(trafficHeavyFrac * float64(pt.Packets)))
 	if thresh == 0 {
 		thresh = 1
 	}
